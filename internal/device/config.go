@@ -12,10 +12,11 @@
 // cannot run falls back to the nondeterministic CUDA-core path.
 //
 // Each simulated device therefore executes the same arithmetic as the CPU
-// reference, but routes every reduction through internal/accum with an
-// accumulation order drawn from a hardware-entropy stream. Chunk counts
-// scale with the simulated CUDA-core count, so cards with more cores (V100)
-// exhibit more reordering noise — reproducing the paper's Figure 5 finding.
+// reference, but splits every reduction into chunk partials and commits
+// them in an accumulation order drawn from a hardware-entropy stream.
+// Chunk counts scale with the simulated CUDA-core count, so cards with more
+// cores (V100) exhibit more reordering noise — reproducing the paper's
+// Figure 5 finding.
 // In Deterministic mode all orders are fixed, modelling the framework
 // determinism patches (TF_DETERMINISTIC_OPS / cuDNN deterministic algos).
 package device

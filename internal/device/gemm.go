@@ -183,26 +183,9 @@ func transposeInto(dst, src []float32, r, c int) {
 	}
 }
 
-// axpy computes y[j] += a*x[j] for every j. The 4-way unroll with the
-// up-front length clamp hoists bounds checks out of the loop body; each
-// y[j] still receives exactly one fused-free multiply-add per call, in
-// index order, so results are bit-identical to the scalar loop.
-func axpy(a float32, x, y []float32) {
-	x = x[:len(y)] // hoist bounds checks: the compiler now knows both lengths
-	j := 0
-	for ; j+3 < len(y); j += 4 {
-		y[j] += a * x[j]
-		y[j+1] += a * x[j+1]
-		y[j+2] += a * x[j+2]
-		y[j+3] += a * x[j+3]
-	}
-	for ; j < len(y); j++ {
-		y[j] += a * x[j]
-	}
-}
-
-// vadd computes y[j] += x[j] for every j, with the same unroll/bounds-check
-// treatment as axpy. Used by the column-sum reduction.
+// vadd computes y[j] += x[j] for every j. The 4-way unroll with the
+// up-front length clamp hoists bounds checks out of the loop body. Used by
+// the column-sum reduction.
 func vadd(x, y []float32) {
 	x = x[:len(y)]
 	j := 0

@@ -114,6 +114,9 @@ func testMatrix(s *rng.Stream, rows, cols int) *tensor.Tensor {
 func TestMatMulBitIdenticalToReference(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 7}, {16, 64, 33}, {31, 128, 17}, {8, 300, 12},
+		// ResNet stage-1 forward (4 N panels of panelNC) and 3 K blocks
+		// with N a multiple of neither 4 nor 8: both cross panel edges.
+		{8, 72, 2048}, {5, 300, 1030},
 	}
 	for _, cfg := range Catalog {
 		for _, mode := range []Mode{Default, Deterministic} {

@@ -112,7 +112,7 @@ func Pair(cfg core.TrainConfig, v core.Variant) (*Trajectory, error) {
 			dev:      dev,
 			ws:       ws,
 			loader:   data.NewLoader(cfg.Dataset, cfg.Dataset.Train, cfg.Batch, cfg.Augment),
-			sgd:      opt.NewSGD(cfg.Momentum, 0),
+			sgd:      opt.NewSGD(cfg.Momentum, cfg.WeightDecay),
 			shuffleS: shuffleS,
 			augS:     augS,
 		}

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -89,6 +91,33 @@ func TestAlgoPairDivergesImmediately(t *testing.T) {
 	}
 	if tr.Points[0].L2 < 0.1 {
 		t.Fatalf("ALGO pair too close after first epoch: L2 %v", tr.Points[0].L2)
+	}
+}
+
+func TestPairMatchesRunReplicaWithWeightDecay(t *testing.T) {
+	// Pair must train under the same recipe as core.RunReplica, weight
+	// decay included: its final divergence equals the one computed from
+	// replicas 0 and 1 trained independently, bit for bit.
+	cfg := pairConfig(2)
+	cfg.WeightDecay = 1e-3
+	tr, err := Pair(cfg, core.Impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := core.RunReplica(context.Background(), cfg, core.Impl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := core.RunReplica(context.Background(), cfg, core.Impl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tr.Final()
+	if want := maxAbsDiff(r0.Weights, r1.Weights); got.MaxAbsDiff != want {
+		t.Fatalf("Pair MaxAbsDiff %v, RunReplica replicas %v", got.MaxAbsDiff, want)
+	}
+	if want := metrics.L2Normalized(r0.Weights, r1.Weights); got.L2 != want {
+		t.Fatalf("Pair L2 %v, RunReplica replicas %v", got.L2, want)
 	}
 }
 

@@ -51,11 +51,15 @@ type Device struct {
 	// panelSource interface heap-allocates the box on every kernel call;
 	// filling a device-owned struct and boxing its pointer does not. The
 	// Device is single-caller and each kernel consumes its source before
-	// returning, so one box per source kind suffices.
-	rowSrc     rowPanel
-	colSrc     colPanel
-	im2colSrc  im2colPanel
-	im2colTSrc im2colTPanel
+	// returning, so one box per source kind suffices. (The im2col sources
+	// hold a single pointer, which an interface stores without a box.)
+	rowSrc rowPanel
+	colSrc colPanel
+
+	// plan is the padded-input im2col plan every conv kernel lowers
+	// through. It keeps its offset tables across kernels and draws padded
+	// copies from the scratch pool, so warm conv kernels allocate nothing.
+	plan tensor.Im2ColPlan
 }
 
 // New returns a device for the given part. entropy is the hardware-entropy
@@ -176,10 +180,11 @@ func (d *Device) MatMul(a, b *tensor.Tensor, transA, transB bool) *tensor.Tensor
 }
 
 // MatMulIm2Col computes W × im2col(x, g) — the forward convolution GEMM —
-// without ever materializing the column matrix: panels of the im2col
-// expansion are generated straight into pack scratch (tensor.Im2ColPanel).
-// One kernel launch, bit-identical to MatMul over a materialized im2col
-// matrix, matching cuDNN's fused implicit-GEMM convolution.
+// without ever materializing the column matrix: the device's im2col plan
+// pads x once, then packs each B panel by a branch-free gather
+// (tensor.Im2ColPlan.Panel). One kernel launch, bit-identical to MatMul
+// over a materialized im2col matrix, matching cuDNN's fused implicit-GEMM
+// convolution.
 func (d *Device) MatMulIm2Col(w, x *tensor.Tensor, g tensor.ConvGeom) *tensor.Tensor {
 	d.kernels++
 	if w.Rank() != 2 || w.Dim(1) != g.ColRows() {
@@ -188,15 +193,17 @@ func (d *Device) MatMulIm2Col(w, x *tensor.Tensor, g tensor.ConvGeom) *tensor.Te
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("device: MatMulIm2Col input must be NCHW, got %v", x.Shape()))
 	}
-	d.im2colSrc = im2colPanel{x: x, g: g}
-	return d.runGEMM(w.Data(), &d.im2colSrc, w.Dim(0), g.ColRows(), g.ColCols())
+	d.plan.Load(x, g)
+	out := d.runGEMM(w.Data(), im2colPanel{&d.plan}, w.Dim(0), g.ColRows(), g.ColCols())
+	d.plan.Release()
+	return out
 }
 
 // MatMulIm2ColT computes A × im2col(x, g)ᵀ — the backward-weights
 // convolution GEMM dW = dy × colᵀ — with the transposed column matrix
-// generated panel by panel (tensor.Im2ColPanelT); neither col nor colᵀ is
-// ever materialized. One kernel launch, bit-identical to the materialized
-// equivalent.
+// gathered panel by panel from the padded input
+// (tensor.Im2ColPlan.PanelT); neither col nor colᵀ is ever materialized.
+// One kernel launch, bit-identical to the materialized equivalent.
 func (d *Device) MatMulIm2ColT(a, x *tensor.Tensor, g tensor.ConvGeom) *tensor.Tensor {
 	d.kernels++
 	if a.Rank() != 2 || a.Dim(1) != g.ColCols() {
@@ -205,8 +212,10 @@ func (d *Device) MatMulIm2ColT(a, x *tensor.Tensor, g tensor.ConvGeom) *tensor.T
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("device: MatMulIm2ColT input must be NCHW, got %v", x.Shape()))
 	}
-	d.im2colTSrc = im2colTPanel{x: x, g: g}
-	return d.runGEMM(a.Data(), &d.im2colTSrc, a.Dim(0), g.ColCols(), g.ColRows())
+	d.plan.Load(x, g)
+	out := d.runGEMM(a.Data(), im2colTPanel{&d.plan}, a.Dim(0), g.ColCols(), g.ColRows())
+	d.plan.Release()
+	return out
 }
 
 // runGEMM resolves the accumulation-order policy (drawing any scheduler
@@ -443,12 +452,14 @@ func reduceChunkedOrder(xs []float32, chunks int, order []int) float32 {
 
 // Col2Im scatters a column matrix back into an image tensor, accumulating
 // overlapping windows — the simulated analogue of cuDNN's atomicAdd-based
-// backward-data kernels. In Default mode the per-kernel-offset scatter
-// order is drawn from the scheduler; overlapping float32 adds then round
-// differently between runs. dst must be zeroed by the caller. The scatter
-// stays serial: overlapping destinations make row sharding order-unsafe.
+// backward-data kernels. The scatter adds onto dst's current contents
+// (callers that want the plain col2im zero it first). In Default mode the
+// per-kernel-offset scatter order is drawn from the scheduler; overlapping
+// float32 adds then round differently between runs. The scatter goes
+// through the device's im2col plan into a padded accumulator and stays
+// serial: overlapping destinations make row sharding order-unsafe.
 func (d *Device) Col2Im(col *tensor.Tensor, g tensor.ConvGeom, dst *tensor.Tensor) {
 	d.kernels++
 	order := d.schedOrder(g.ColRows())
-	tensor.Col2ImAccum(col, g, dst, order)
+	d.plan.Col2Im(col, g, dst, order)
 }

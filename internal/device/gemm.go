@@ -69,26 +69,20 @@ func (p colPanel) packPanel(dst []float32, kLo, kHi, jLo, jHi int) {
 
 // im2colPanel serves the im2col expansion of an NCHW image as the B
 // operand, fusing the expansion with panel packing: the column matrix is
-// never materialized (tensor.Im2ColPanel writes the same values Im2Col
-// would, straight into pack scratch).
-type im2colPanel struct {
-	x *tensor.Tensor
-	g tensor.ConvGeom
-}
+// never materialized. The plan is loaded (input padded, offsets built) on
+// the caller's goroutine before dispatch; shards only gather from it.
+type im2colPanel struct{ plan *tensor.Im2ColPlan }
 
 func (p im2colPanel) packPanel(dst []float32, kLo, kHi, jLo, jHi int) {
-	tensor.Im2ColPanel(p.x, p.g, kLo, kHi, jLo, jHi, dst)
+	p.plan.Panel(kLo, kHi, jLo, jHi, dst)
 }
 
 // im2colTPanel serves the TRANSPOSED im2col expansion (backward-weights
-// GEMM), likewise fused with packing.
-type im2colTPanel struct {
-	x *tensor.Tensor
-	g tensor.ConvGeom
-}
+// GEMM) from the same kind of loaded plan.
+type im2colTPanel struct{ plan *tensor.Im2ColPlan }
 
 func (p im2colTPanel) packPanel(dst []float32, kLo, kHi, jLo, jHi int) {
-	tensor.Im2ColPanelT(p.x, p.g, kLo, kHi, jLo, jHi, dst)
+	p.plan.PanelT(kLo, kHi, jLo, jHi, dst)
 }
 
 // gemmArgs bundles one GEMM's operands and accumulation-order policy so

@@ -11,11 +11,11 @@ import (
 // Conv2D is a 2-D convolution in NCHW layout, lowered to GEMM via im2col —
 // the same lowering cuDNN's implicit-GEMM algorithms use. The weight is
 // stored as (OutC, InC*KH*KW); bias is per output channel. The column
-// matrix is never materialized: forward and backward-weights GEMMs generate
-// im2col panels directly into the device's pack scratch
-// (device.MatMulIm2Col / MatMulIm2ColT), which is safe because no layer
-// mutates a produced activation, so the retained input x still holds the
-// forward values at backward time.
+// matrix is never materialized: forward and backward-weights GEMMs gather
+// im2col panels from a zero-padded copy of the input straight into the
+// device's pack scratch (device.MatMulIm2Col / MatMulIm2ColT), which is
+// safe because no layer mutates a produced activation, so the retained
+// input x still holds the forward values at backward time.
 type Conv2D struct {
 	name                string
 	inC, outC           int

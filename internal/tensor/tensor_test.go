@@ -160,6 +160,34 @@ func TestConvGeomSizes(t *testing.T) {
 	}
 }
 
+// TestConvGeomValidateRejects lists degenerate geometries, most of whose
+// output sizes still come out positive; a negative pad would index outside
+// the padded input.
+func TestConvGeomValidateRejects(t *testing.T) {
+	base := ConvGeom{Batch: 2, InC: 3, InH: 8, InW: 8, OutC: 4, KH: 1, KW: 1, Stride: 1, Pad: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*ConvGeom)
+	}{
+		{"zero KH", func(g *ConvGeom) { g.KH = 0 }},
+		{"negative KW", func(g *ConvGeom) { g.KW = -1 }},
+		{"zero InH", func(g *ConvGeom) { g.InH = 0 }},
+		{"negative InW", func(g *ConvGeom) { g.InW = -1 }},
+		{"negative Pad", func(g *ConvGeom) { g.Pad = -1 }},
+		{"zero Batch", func(g *ConvGeom) { g.Batch = 0 }},
+		{"zero Stride", func(g *ConvGeom) { g.Stride = 0 }},
+	} {
+		g := base
+		tc.edit(&g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: %+v validated", tc.name, g)
+		}
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base geometry rejected: %v", err)
+	}
+}
+
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no pad: im2col is just a reshape.
 	g := ConvGeom{Batch: 1, InC: 2, InH: 3, InW: 3, OutC: 1, KH: 1, KW: 1, Stride: 1, Pad: 0}
@@ -223,7 +251,7 @@ func TestCol2ImInverseOfIm2ColNoOverlap(t *testing.T) {
 	col := New(g.ColRows(), g.ColCols())
 	Im2Col(in, g, col)
 	back := New(2, 3, 4, 4)
-	Col2ImAccum(col, g, back, nil)
+	new(Im2ColPlan).Col2Im(col, g, back, nil)
 	if !Equal(in, back) {
 		t.Fatalf("col2im(im2col) != identity for non-overlapping windows; max diff %v", MaxAbsDiff(in, back))
 	}
@@ -236,7 +264,7 @@ func TestCol2ImOverlapCounts(t *testing.T) {
 	col := New(g.ColRows(), g.ColCols())
 	col.Fill(1)
 	out := New(1, 1, 3, 3)
-	Col2ImAccum(col, g, out, nil)
+	new(Im2ColPlan).Col2Im(col, g, out, nil)
 	// Center pixel is covered by all 9 kernel offsets; corners by 4.
 	if out.At(0, 0, 1, 1) != 9 {
 		t.Fatalf("center coverage = %v, want 9", out.At(0, 0, 1, 1))
@@ -256,13 +284,13 @@ func TestCol2ImRowOrderPermutationSameResultForExactValues(t *testing.T) {
 		col.Data()[i] = float32(i % 7)
 	}
 	a := New(1, 2, 4, 4)
-	Col2ImAccum(col, g, a, nil)
+	new(Im2ColPlan).Col2Im(col, g, a, nil)
 	order := make([]int, g.ColRows())
 	for i := range order {
 		order[i] = g.ColRows() - 1 - i
 	}
 	b := New(1, 2, 4, 4)
-	Col2ImAccum(col, g, b, order)
+	new(Im2ColPlan).Col2Im(col, g, b, order)
 	if !Equal(a, b) {
 		t.Fatal("row order permutation changed exact-arithmetic result")
 	}

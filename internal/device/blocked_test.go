@@ -24,11 +24,12 @@ func withIntraParallel(t *testing.T, workers int, fn func()) {
 }
 
 // TestMatMulRandomizedVsReference drives the blocked packed-panel kernel
-// through ~200 random (m, k, n, transA, transB, part, mode, seed) tuples and
-// requires byte-identical output to the retained naive reference kernel —
-// first serially, then with intra-kernel row sharding forced on across a
-// 4-worker pool (the CI -race run makes the sharded pass double as a data
-// race check on the disjoint-output-slice argument).
+// through ~200 random (m, k, n, transA, transB, part, mode, seed) tuples,
+// each at every zero density, and requires byte-identical output to the
+// retained naive reference kernel — first serially, then with intra-kernel
+// row sharding forced on across a 4-worker pool (the CI -race run makes
+// the sharded pass double as a data race check on the
+// disjoint-output-slice argument).
 func TestMatMulRandomizedVsReference(t *testing.T) {
 	const tuples = 200
 	s := rng.New(42)
@@ -44,35 +45,37 @@ func TestMatMulRandomizedVsReference(t *testing.T) {
 		mode := Mode(pick.Intn(2))
 		seed := uint64(i)*7919 + 13
 
-		data := rng.New(seed)
-		var a, b *tensor.Tensor
-		if transA {
-			a = testMatrix(data.Split("a"), k, m)
-		} else {
-			a = testMatrix(data.Split("a"), m, k)
-		}
-		if transB {
-			b = testMatrix(data.Split("b"), n, k)
-		} else {
-			b = testMatrix(data.Split("b"), k, n)
-		}
-
-		devRef := New(cfg, mode, rng.New(seed).Split("hw"))
-		want := refMatMul(devRef, devRef.entropy, a, b, transA, transB)
-
-		devOpt := New(cfg, mode, rng.New(seed).Split("hw"))
-		if got := devOpt.MatMul(a, b, transA, transB); !tensor.Equal(got, want) {
-			t.Fatalf("tuple %d (%s/%s m=%d k=%d n=%d tA=%v tB=%v): serial blocked kernel diverged (max diff %g)",
-				i, cfg.Name, mode, m, k, n, transA, transB, tensor.MaxAbsDiff(got, want))
-		}
-
-		devPar := New(cfg, mode, rng.New(seed).Split("hw"))
-		withIntraParallel(t, 4, func() {
-			if got := devPar.MatMul(a, b, transA, transB); !tensor.Equal(got, want) {
-				t.Fatalf("tuple %d (%s/%s m=%d k=%d n=%d tA=%v tB=%v): sharded blocked kernel diverged (max diff %g)",
-					i, cfg.Name, mode, m, k, n, transA, transB, tensor.MaxAbsDiff(got, want))
+		for _, zeros := range zeroDensities {
+			data := rng.New(seed)
+			var a, b *tensor.Tensor
+			if transA {
+				a = sparseMatrix(data.Split("a"), k, m, zeros)
+			} else {
+				a = sparseMatrix(data.Split("a"), m, k, zeros)
 			}
-		})
+			if transB {
+				b = sparseMatrix(data.Split("b"), n, k, zeros)
+			} else {
+				b = sparseMatrix(data.Split("b"), k, n, zeros)
+			}
+
+			devRef := New(cfg, mode, rng.New(seed).Split("hw"))
+			want := refMatMul(devRef, devRef.entropy, a, b, transA, transB)
+
+			devOpt := New(cfg, mode, rng.New(seed).Split("hw"))
+			if got := devOpt.MatMul(a, b, transA, transB); !tensor.Equal(got, want) {
+				t.Fatalf("tuple %d (%s/%s m=%d k=%d n=%d zeros=%g tA=%v tB=%v): serial blocked kernel diverged (max diff %g)",
+					i, cfg.Name, mode, m, k, n, zeros, transA, transB, tensor.MaxAbsDiff(got, want))
+			}
+
+			devPar := New(cfg, mode, rng.New(seed).Split("hw"))
+			withIntraParallel(t, 4, func() {
+				if got := devPar.MatMul(a, b, transA, transB); !tensor.Equal(got, want) {
+					t.Fatalf("tuple %d (%s/%s m=%d k=%d n=%d zeros=%g tA=%v tB=%v): sharded blocked kernel diverged (max diff %g)",
+						i, cfg.Name, mode, m, k, n, zeros, transA, transB, tensor.MaxAbsDiff(got, want))
+				}
+			})
+		}
 	}
 }
 
@@ -90,42 +93,50 @@ func convGeoms() []tensor.ConvGeom {
 
 // TestFusedIm2ColGEMMBitIdentical checks that the fused conv GEMMs
 // (MatMulIm2Col, MatMulIm2ColT) are byte-identical to a MatMul over an
-// explicitly materialized column matrix, for every part and mode, serially
-// and under forced intra-kernel sharding.
+// explicitly materialized column matrix, for every part, mode and zero
+// density, serially and under forced intra-kernel sharding.
 func TestFusedIm2ColGEMMBitIdentical(t *testing.T) {
 	for gi, g := range convGeoms() {
-		s := rng.New(uint64(100 + gi))
-		x := tensor.New(g.Batch, g.InC, g.InH, g.InW)
-		xd := x.Data()
-		src := testMatrix(s.Split("x"), 1, len(xd))
-		copy(xd, src.Data())
-		w := testMatrix(s.Split("w"), g.OutC, g.ColRows())
-		dyMat := testMatrix(s.Split("dy"), g.OutC, g.ColCols())
-		col := tensor.New(g.ColRows(), g.ColCols())
-		tensor.Im2Col(x, g, col)
+		for _, zeros := range zeroDensities {
+			s := rng.New(uint64(100 + gi))
+			x := tensor.New(g.Batch, g.InC, g.InH, g.InW)
+			xd := x.Data()
+			src := sparseMatrix(s.Split("x"), 1, len(xd), zeros)
+			copy(xd, src.Data())
+			w := sparseMatrix(s.Split("w"), g.OutC, g.ColRows(), zeros)
+			dyMat := sparseMatrix(s.Split("dy"), g.OutC, g.ColCols(), zeros)
+			fusedMatchesMaterialized(t, gi, g, zeros, x, w, dyMat)
+		}
+	}
+}
 
-		for _, cfg := range Catalog {
-			for _, mode := range []Mode{Default, Deterministic} {
-				seed := uint64(gi*31 + 5)
-				wantFwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMul(w, col, false, false)
-				wantBwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMul(dyMat, col, false, true)
+// fusedMatchesMaterialized runs TestFusedIm2ColGEMMBitIdentical's
+// comparison for one geometry and operand set.
+func fusedMatchesMaterialized(t *testing.T, gi int, g tensor.ConvGeom, zeros float64, x, w, dyMat *tensor.Tensor) {
+	t.Helper()
+	col := tensor.New(g.ColRows(), g.ColCols())
+	tensor.Im2Col(x, g, col)
+	for _, cfg := range Catalog {
+		for _, mode := range []Mode{Default, Deterministic} {
+			seed := uint64(gi*31 + 5)
+			wantFwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMul(w, col, false, false)
+			wantBwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMul(dyMat, col, false, true)
 
-				check := func(label string) {
-					t.Helper()
-					gotFwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2Col(w, x, g)
-					if !tensor.Equal(gotFwd, wantFwd) {
-						t.Fatalf("geom %d %s/%s %s: MatMulIm2Col diverged from materialized GEMM (max diff %g)",
-							gi, cfg.Name, mode, label, tensor.MaxAbsDiff(gotFwd, wantFwd))
-					}
-					gotBwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2ColT(dyMat, x, g)
-					if !tensor.Equal(gotBwd, wantBwd) {
-						t.Fatalf("geom %d %s/%s %s: MatMulIm2ColT diverged from materialized GEMM (max diff %g)",
-							gi, cfg.Name, mode, label, tensor.MaxAbsDiff(gotBwd, wantBwd))
-					}
+			check := func(label string) {
+				t.Helper()
+				gotFwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2Col(w, x, g)
+				if !tensor.Equal(gotFwd, wantFwd) {
+					t.Fatalf("geom %d zeros=%g %s/%s %s: MatMulIm2Col diverged from materialized GEMM (max diff %g)",
+						gi, zeros, cfg.Name, mode, label, tensor.MaxAbsDiff(gotFwd, wantFwd))
 				}
-				check("serial")
-				withIntraParallel(t, 4, func() { check("sharded") })
+				gotBwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2ColT(dyMat, x, g)
+				if !tensor.Equal(gotBwd, wantBwd) {
+					t.Fatalf("geom %d zeros=%g %s/%s %s: MatMulIm2ColT diverged from materialized GEMM (max diff %g)",
+						gi, zeros, cfg.Name, mode, label, tensor.MaxAbsDiff(gotBwd, wantBwd))
+				}
 			}
+			check("serial")
+			withIntraParallel(t, 4, func() { check("sharded") })
 		}
 	}
 }

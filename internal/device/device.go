@@ -47,6 +47,11 @@ type Device struct {
 	rowOrders    [][]int
 	rowOrderData []int
 
+	// kseq holds the current GEMM's commit-ordered k sequence (see
+	// commitOrder), built on the caller's goroutine before dispatch and
+	// read-only to the shards.
+	kseq []int
+
 	// Reused panel-source boxes. Assigning a value struct to the
 	// panelSource interface heap-allocates the box on every kernel call;
 	// filling a device-owned struct and boxing its pointer does not. The
@@ -219,10 +224,11 @@ func (d *Device) MatMulIm2ColT(a, x *tensor.Tensor, g tensor.ConvGeom) *tensor.T
 }
 
 // runGEMM resolves the accumulation-order policy (drawing any scheduler
-// entropy BEFORE dispatch), then launches the blocked kernel — serial, or
-// row-sharded over the pool when m·k·n clears the intra-op threshold.
-// Tensor-Core parts run the deterministic fp16 systolic path and draw no
-// entropy, exactly like the reference kernel.
+// entropy BEFORE dispatch) into the commit-ordered k sequence, then
+// launches the blocked kernel — serial, or sharded over the pool in whole
+// 4-row strips when m·k·n clears the intra-op threshold. Tensor-Core parts
+// run the deterministic fp16 systolic path and draw no entropy, exactly
+// like the reference kernel.
 func (d *Device) runGEMM(ad []float32, src panelSource, m, k, n int) *tensor.Tensor {
 	out := d.AllocZero(m, n)
 	fp16 := d.cfg.TensorCores
@@ -232,6 +238,7 @@ func (d *Device) runGEMM(ad []float32, src panelSource, m, k, n int) *tensor.Ten
 		chunks = d.cfg.reorderChunks(k)
 		order = d.schedOrder(chunks)
 	}
+	d.kseq = commitOrder(d.kseq, k, chunks, order)
 	const minRowsPerShard = 4
 	shards := intraShards(m, int64(m)*int64(k)*int64(n), minRowsPerShard)
 	if shards <= 1 {
@@ -240,18 +247,14 @@ func (d *Device) runGEMM(ad []float32, src panelSource, m, k, n int) *tensor.Ten
 		// the heap, so sharing one variable across both branches would
 		// heap-allocate on every kernel call. Small below-threshold GEMMs —
 		// the zero-alloc steady state — stay allocation-free this way.
-		args := gemmArgs{ad: ad, src: src, od: out.Data(), m: m, k: k, n: n, chunks: chunks, order: order, fp16: fp16}
-		panel := panelScratch(k, n)
-		gemmBlocked(&args, 0, m, panel)
-		tensor.PutScratch(panel)
+		args := gemmArgs{ad: ad, src: src, od: out.Data(), k: k, n: n, kseq: d.kseq, fp16: fp16}
+		gemmBlocked(&args, 0, m)
 		return out
 	}
-	args := gemmArgs{ad: ad, src: src, od: out.Data(), m: m, k: k, n: n, chunks: chunks, order: order, fp16: fp16}
-	shardRows(shards, m, func(lo, hi int) {
-		panel := panelScratch(k, n)
-		gemmBlocked(&args, lo, hi, panel)
-		tensor.PutScratch(panel)
-	})
+	args := gemmArgs{ad: ad, src: src, od: out.Data(), k: k, n: n, kseq: d.kseq, fp16: fp16}
+	// Shard whole strips, so no shard boundary leaves rows to the axpy
+	// sweep that a serial run would have tiled.
+	shardRows(shards, (m+3)/4, func(lo, hi int) { gemmBlocked(&args, 4*lo, min(4*hi, m)) })
 	return out
 }
 

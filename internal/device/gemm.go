@@ -1,22 +1,28 @@
 package device
 
-import "repro/internal/tensor"
+import (
+	"unsafe"
 
-// GEMM hot path: an L2-aware blocked kernel with packed B panels and
-// optional intra-kernel row sharding (intra.go).
+	"repro/internal/tensor"
+)
+
+// GEMM hot path: an L2-aware blocked kernel with packed B panels, a 4×8
+// register-tile micro-kernel, and optional intra-kernel row sharding
+// (intra.go).
 //
 // The accumulation-order semantics of MatMul are the subject of the paper,
 // so every transformation here is restricted to ones that cannot change a
 // single output bit. The invariant is per OUTPUT ELEMENT: C[i][j]
 // accumulates its k-partials in scheduler-chunk order, ascending k within
-// each chunk, one individually-rounded float32 multiply-add per partial,
-// with exact-zero A multiplicands skipped — exactly the reference kernel's
-// sequence (gemm_test.go pins this for every part in the catalog). Tiling
-// M×N×K and sharding M only regroup WHICH LOOP VISITS each (i,j,k) triple;
-// because K blocks are walked in ascending order inside a chunk and each
-// (i,j) pair belongs to exactly one row shard and one N tile, the
-// per-element sequence is untouched. Packing rewrites where operand bytes
-// live, never which values multiply.
+// each chunk, one individually-rounded float32 product and one rounded add
+// per partial, with exact-zero A multiplicands skipped — exactly the
+// reference kernel's sequence (gemm_test.go pins this for every part in the
+// catalog). The scheduler order is resolved up front into one commit-ordered
+// k sequence, and both operands are packed in that order, so the loop nest
+// only walks the sequence forward: tiling M×N, blocking the sequence and
+// sharding M regroup WHICH LOOP VISITS each (i,j,k) triple, never the order
+// in which one C element sees its partials. Packing rewrites where operand
+// bytes live, never which values multiply.
 
 // Panel geometry: one packed B panel is at most panelKC×panelNC float32s
 // (256 KiB), sized to stay L2-resident while the inner kernel sweeps every
@@ -88,44 +94,85 @@ func (p im2colTPanel) packPanel(dst []float32, kLo, kHi, jLo, jHi int) {
 // gemmArgs bundles one GEMM's operands and accumulation-order policy so
 // row shards can execute the identical kernel over disjoint row ranges.
 type gemmArgs struct {
-	ad      []float32   // op(A), m×k row-major
-	src     panelSource // op(B), k×n, served panel by panel
-	od      []float32   // C, m×n, zeroed
-	m, k, n int
-	chunks  int   // scheduler split-K chunk count (1 = deterministic)
-	order   []int // chunk commit order, nil = ascending
-	fp16    bool  // Tensor-Core path: round A scalars and B panels to fp16
+	ad   []float32   // op(A), m×k row-major
+	src  panelSource // op(B), k×n, served panel by panel
+	od   []float32   // C, m×n, zeroed
+	k, n int
+	kseq []int // commit-ordered k indices: a permutation of [0,k)
+	fp16 bool  // Tensor-Core path: round A scalars and B panels to fp16
+}
+
+// commitOrder writes the commit-ordered k sequence of a split-K GEMM into
+// dst (grown as needed): every scheduler chunk in commit order (nil =
+// ascending), ascending k inside each chunk. With one chunk it is 0..k-1.
+func commitOrder(dst []int, k, chunks int, order []int) []int {
+	dst = growInts(dst, k)[:0]
+	for ci := 0; ci < chunks; ci++ {
+		c := ci
+		if order != nil {
+			c = order[ci]
+		}
+		for kk := c * k / chunks; kk < (c+1)*k/chunks; kk++ {
+			dst = append(dst, kk)
+		}
+	}
+	return dst
 }
 
 // gemmBlocked runs the blocked packed-panel kernel over C rows
-// [rowLo,rowHi) using the caller's panel scratch (≥ panelKC*panelNC or the
-// clamped equivalent). Loop nest: scheduler chunk → K block (ascending) →
-// N tile → pack panel once → sweep rows. The panel is packed once per
-// (K block, N tile) and reused across every row in the shard.
-func gemmBlocked(g *gemmArgs, rowLo, rowHi int, panel []float32) {
-	for ci := 0; ci < g.chunks; ci++ {
-		c := ci
-		if g.order != nil {
-			c = g.order[ci]
-		}
-		kLo := c * g.k / g.chunks
-		kHi := (c + 1) * g.k / g.chunks
-		for kb := kLo; kb < kHi; kb += panelKC {
-			kbHi := min(kb+panelKC, kHi)
-			for jb := 0; jb < g.n; jb += panelNC {
-				jbHi := min(jb+panelNC, g.n)
-				w := jbHi - jb
-				g.src.packPanel(panel, kb, kbHi, jb, jbHi)
-				if g.fp16 {
-					// Pre-round the packed panel once: rounding is a pure
-					// function of the element, so the products match the
-					// reference kernel's per-use rounding bit for bit.
-					roundPanel(panel[:(kbHi-kb)*w])
+// [rowLo,rowHi), packing into private pooled scratch (shards run it
+// concurrently). Loop nest: K block of the commit-ordered sequence → N
+// tile → pack panel once → 4-row A strip → 8-column register tile. The
+// panel is packed once per (K block, N tile) and reused across every strip
+// in the shard; each strip's A values are packed in the same sequence
+// order. A strip holding an exact zero (after fp16 rounding), the m%4 rows
+// and the n%8 columns run the per-row axpy sweep, which skips zero
+// multipliers as the reference does; every other strip runs kern4x8, which
+// keeps a 4×8 block of C in registers across the whole K block.
+func gemmBlocked(g *gemmArgs, rowLo, rowHi int) {
+	kcMax := min(g.k, panelKC)
+	panel := tensor.GetScratch(kcMax * min(g.n, panelNC))
+	stripBuf := tensor.GetScratch(16*kcMax + 3)
+	defer tensor.PutScratch(panel)
+	defer tensor.PutScratch(stripBuf)
+	strip := align16(stripBuf)
+	for pb := 0; pb < g.k; pb += panelKC {
+		seq := g.kseq[pb:min(pb+panelKC, g.k)]
+		kc := len(seq)
+		a := strip[:16*kc]
+		for jb := 0; jb < g.n; jb += panelNC {
+			jbHi := min(jb+panelNC, g.n)
+			w := jbHi - jb
+			// Pack the panel in sequence order, one run of consecutive k
+			// at a time (a whole block in Deterministic mode).
+			for p := 0; p < kc; {
+				e := p + 1
+				for e < kc && seq[e] == seq[e-1]+1 {
+					e++
 				}
-				for i := rowLo; i < rowHi; i++ {
-					arow := g.ad[i*g.k : i*g.k+g.k]
-					crow := g.od[i*g.n+jb : i*g.n+jbHi]
-					for kk := kb; kk < kbHi; kk++ {
+				g.src.packPanel(panel[p*w:e*w], seq[p], seq[p]+e-p, jb, jbHi)
+				p = e
+			}
+			if g.fp16 {
+				// Pre-round the packed panel once: rounding is a pure
+				// function of the element, so the products match the
+				// reference kernel's per-use rounding bit for bit.
+				roundPanel(panel[:kc*w])
+			}
+			for i := rowLo; i < rowHi; i += 4 {
+				rows := min(4, rowHi-i)
+				tiled := 0
+				if rows == 4 && w >= 8 && g.packStrip(a, i, seq) {
+					tiled = w &^ 7
+					kern4x8(kc, a, panel[:kc*w], w, g.od[i*g.n+jb:], g.n, tiled/8)
+				}
+				if tiled == w {
+					continue
+				}
+				for r := 0; r < rows; r++ {
+					arow := g.ad[(i+r)*g.k : (i+r)*g.k+g.k]
+					crow := g.od[(i+r)*g.n+jb+tiled : (i+r)*g.n+jbHi]
+					for p, kk := range seq {
 						av := arow[kk]
 						if g.fp16 {
 							av = fp16Round(av)
@@ -135,7 +182,7 @@ func gemmBlocked(g *gemmArgs, rowLo, rowHi int, panel []float32) {
 							// reference kernel's behaviour too.
 							continue
 						}
-						axpy(av, panel[(kk-kb)*w:(kk-kb)*w+w], crow)
+						axpy(av, panel[p*w+tiled:p*w+w], crow)
 					}
 				}
 			}
@@ -143,10 +190,40 @@ func gemmBlocked(g *gemmArgs, rowLo, rowHi int, panel []float32) {
 	}
 }
 
-// panelScratch returns pooled pack scratch sized for one panel of a k×n
-// operand. Shards call this independently so each owns private scratch.
-func panelScratch(k, n int) []float32 {
-	return tensor.GetScratch(min(k, panelKC) * min(n, panelNC))
+// packStrip packs rows [i, i+4) of op(A) at the columns in seq into dst as
+// kern4x8 reads them: dst[p*16+r*4+l] = A[i+r][seq[p]] for each lane
+// l < 4, fp16-rounded on Tensor-Core parts. It reports whether the strip
+// is free of exact zeros, i.e. whether kern4x8 may run it without the
+// zero skip, and stops at the first zero (the axpy sweep reads A itself).
+func (g *gemmArgs) packStrip(dst []float32, i int, seq []int) bool {
+	k := g.k
+	a0 := g.ad[i*k : i*k+k]
+	a1 := g.ad[(i+1)*k : (i+1)*k+k]
+	a2 := g.ad[(i+2)*k : (i+2)*k+k]
+	a3 := g.ad[(i+3)*k : (i+3)*k+k]
+	for p, kk := range seq {
+		v0, v1, v2, v3 := a0[kk], a1[kk], a2[kk], a3[kk]
+		if g.fp16 {
+			v0, v1, v2, v3 = fp16Round(v0), fp16Round(v1), fp16Round(v2), fp16Round(v3)
+		}
+		if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
+			return false
+		}
+		l := (*[16]float32)(dst[p*16 : p*16+16])
+		l[0], l[1], l[2], l[3] = v0, v0, v0, v0
+		l[4], l[5], l[6], l[7] = v1, v1, v1, v1
+		l[8], l[9], l[10], l[11] = v2, v2, v2, v2
+		l[12], l[13], l[14], l[15] = v3, v3, v3, v3
+	}
+	return true
+}
+
+// align16 returns the suffix of s that starts on a 16-byte boundary (s
+// must have room for the up to 3 skipped elements). The Go heap never
+// moves an object, so the alignment holds for the buffer's lifetime.
+func align16(s []float32) []float32 {
+	mis := uintptr(unsafe.Pointer(unsafe.SliceData(s))) & 15
+	return s[((16-mis)&15)/4:]
 }
 
 // roundPanel rounds a packed panel to fp16 precision in place.

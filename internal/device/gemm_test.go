@@ -96,13 +96,24 @@ func refMaterialize(t *tensor.Tensor, trans bool) []float32 {
 // testMatrix fills a tensor with a mix of magnitudes, exact zeros and
 // negatives so the zero-skip and rounding paths are all exercised.
 func testMatrix(s *rng.Stream, rows, cols int) *tensor.Tensor {
+	return sparseMatrix(s, rows, cols, 1.0/8)
+}
+
+// zeroDensities are the exact-zero fractions the GEMM reference tests draw
+// operands at. With none, every full A strip runs the register tile; at 1
+// in 8 most 4-row strips hold a zero and run the axpy sweep; at one half
+// the operand looks like a ReLU-gated gradient.
+var zeroDensities = []float64{0, 1.0 / 8, 1.0 / 2}
+
+// sparseMatrix is testMatrix with the given fraction of exact zeros.
+func sparseMatrix(s *rng.Stream, rows, cols int, zeros float64) *tensor.Tensor {
 	t := tensor.New(rows, cols)
 	d := t.Data()
 	for i := range d {
-		switch s.Intn(8) {
-		case 0:
+		switch {
+		case s.Bernoulli(zeros):
 			d[i] = 0 // exact zero: hits the av==0 skip
-		case 1:
+		case s.Intn(8) == 0:
 			d[i] = float32(s.Norm()) * 1e-4
 		default:
 			d[i] = float32(s.Norm())
@@ -117,38 +128,84 @@ func TestMatMulBitIdenticalToReference(t *testing.T) {
 		// ResNet stage-1 forward (4 N panels of panelNC) and 3 K blocks
 		// with N a multiple of neither 4 nor 8: both cross panel edges.
 		{8, 72, 2048}, {5, 300, 1030},
+		// m%4 != 0 and n%8 != 0 around whole tiles, and n < 8 (no tile).
+		{6, 20, 5}, {7, 9, 13}, {13, 40, 23}, {4, 3, 8},
+		// k > panelKC: V100's 15-row chunks straddle the K block edge.
+		{12, 300, 20},
+		// k = 8 < V100's 20 chunks: one k row per chunk.
+		{9, 8, 17},
 	}
 	for _, cfg := range Catalog {
 		for _, mode := range []Mode{Default, Deterministic} {
 			for si, sh := range shapes {
-				for _, transA := range []bool{false, true} {
-					for _, transB := range []bool{false, true} {
-						seed := uint64(1000*si + sh.m + 2*sh.k + 3*sh.n)
-						s := rng.New(seed)
-						var a, b *tensor.Tensor
-						if transA {
-							a = testMatrix(s.Split("a"), sh.k, sh.m)
-						} else {
-							a = testMatrix(s.Split("a"), sh.m, sh.k)
-						}
-						if transB {
-							b = testMatrix(s.Split("b"), sh.n, sh.k)
-						} else {
-							b = testMatrix(s.Split("b"), sh.k, sh.n)
-						}
-						// Two devices with identical entropy seeds: one runs
-						// the optimized kernel, the other drives the
-						// reference copy.
-						devOpt := New(cfg, mode, rng.New(seed).Split("hw"))
-						devRef := New(cfg, mode, rng.New(seed).Split("hw"))
-						got := devOpt.MatMul(a, b, transA, transB)
-						want := refMatMul(devRef, devRef.entropy, a, b, transA, transB)
-						if !tensor.Equal(got, want) {
-							t.Fatalf("%s/%s m=%d k=%d n=%d transA=%v transB=%v: optimized MatMul diverged from reference (max diff %g)",
-								cfg.Name, mode, sh.m, sh.k, sh.n, transA, transB, tensor.MaxAbsDiff(got, want))
+				for _, zeros := range zeroDensities {
+					for _, transA := range []bool{false, true} {
+						for _, transB := range []bool{false, true} {
+							seed := uint64(1000*si + sh.m + 2*sh.k + 3*sh.n)
+							s := rng.New(seed)
+							var a, b *tensor.Tensor
+							if transA {
+								a = sparseMatrix(s.Split("a"), sh.k, sh.m, zeros)
+							} else {
+								a = sparseMatrix(s.Split("a"), sh.m, sh.k, zeros)
+							}
+							if transB {
+								b = sparseMatrix(s.Split("b"), sh.n, sh.k, zeros)
+							} else {
+								b = sparseMatrix(s.Split("b"), sh.k, sh.n, zeros)
+							}
+							// Two devices with identical entropy seeds: one
+							// runs the optimized kernel, the other drives the
+							// reference copy.
+							devOpt := New(cfg, mode, rng.New(seed).Split("hw"))
+							devRef := New(cfg, mode, rng.New(seed).Split("hw"))
+							got := devOpt.MatMul(a, b, transA, transB)
+							want := refMatMul(devRef, devRef.entropy, a, b, transA, transB)
+							if !tensor.Equal(got, want) {
+								t.Fatalf("%s/%s m=%d k=%d n=%d zeros=%g transA=%v transB=%v: optimized MatMul diverged from reference (max diff %g)",
+									cfg.Name, mode, sh.m, sh.k, sh.n, zeros, transA, transB, tensor.MaxAbsDiff(got, want))
+							}
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMatMulTensorCoreFP16ZeroSkip: on Tensor-Core parts the zero test
+// applies to A after fp16 rounding. A values below half the smallest fp16
+// subnormal are nonzero in float32 but round to zero, so their strips must
+// take the skipping axpy sweep; B carries infinities, so a rounded-zero
+// multiplier that reached the register tile would turn 0·Inf into NaN.
+func TestMatMulTensorCoreFP16ZeroSkip(t *testing.T) {
+	const m, k, n = 10, 40, 21
+	s := rng.New(77)
+	a := sparseMatrix(s.Split("a"), m, k, 0)
+	ad := a.Data()
+	for i := range ad {
+		// Rows 0-3 stay dense: their strip runs the tile. Rows 4-7 get
+		// one tiny value each; rows 8-9 (the m%4 tail) get several.
+		r := i / k
+		if (r >= 4 && r < 8 && i%k == 3*r) || (r >= 8 && i%5 == 0) {
+			ad[i] = float32(s.Norm()) * 1e-9
+			if fp16Round(ad[i]) != 0 || ad[i] == 0 {
+				t.Fatalf("test value %g does not round to fp16 zero", ad[i])
+			}
+		}
+	}
+	b := sparseMatrix(s.Split("b"), k, n, 0)
+	bd := b.Data()
+	for i := 0; i < len(bd); i += 7 {
+		bd[i] = float32(math.Inf(1 - 2*(i%2)))
+	}
+	for _, mode := range []Mode{Default, Deterministic} {
+		got := New(RTX5000TC, mode, rng.New(1)).MatMul(a, b, false, false)
+		want := refMatMul(New(RTX5000TC, mode, rng.New(1)), nil, a, b, false, false)
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("%s: C[%d][%d] = %#x, reference %#x", mode, i/n, i%n,
+					math.Float32bits(v), math.Float32bits(want.Data()[i]))
 			}
 		}
 	}

@@ -175,8 +175,9 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Zero sets every element to zero.
-func (t *Tensor) Zero() { t.Fill(0) }
+// Zero sets every element to +0. clear compiles to a memclr, which the
+// element loop in Fill does not.
+func (t *Tensor) Zero() { clear(t.data) }
 
 // AddScaled computes t += alpha*u elementwise. Shapes must match.
 func (t *Tensor) AddScaled(alpha float32, u *Tensor) {

@@ -1,144 +1,42 @@
-// Package checkpoint serializes trained model weights. The paper's
-// replicability standard — bitwise-identical outcomes given identical
-// tooling and seeds — is only auditable if weights can be stored and
-// compared exactly, so the format round-trips float32 values bit-exactly
-// (no text formatting) and carries a content checksum.
+// Package checkpoint serializes a replica's full training outcome — cell
+// key, variant, replica index, test accuracy, test-set predictions,
+// per-epoch loss and trained weights — as the NNRREPL1 record the replica
+// ledger stores and fleet workers upload. The paper's replicability
+// standard — bitwise-identical outcomes given identical tooling and seeds —
+// is only auditable if outcomes can be stored and compared exactly, so a
+// record served from disk is indistinguishable, bit for bit, from one
+// trained in process.
 //
-// Format (little-endian):
+// Record format (little-endian):
 //
-//	magic   "NNRCKPT1"              8 bytes
-//	nparams uint32
-//	per parameter:
-//	    nameLen uint32, name bytes
-//	    rank    uint32, dims []uint32
-//	    data    []float32 (raw bits)
+//	magic   "NNRREPL1"                   8 bytes
+//	cellLen uint32, cell bytes           the replica's cell key
+//	variant uint32
+//	replica uint32
+//	acc     uint64 (float64 bits)        test accuracy
+//	npred   uint32, preds  []uint32      argmax test predictions
+//	nloss   uint32, loss   []uint64      per-epoch mean loss (float64 bits)
+//	nweight uint32, weight []uint32      flattened weights (float32 bits)
 //	crc32 (IEEE) of everything above
+//
+// Scalars and arrays round-trip through raw bit patterns (never text), so
+// decode(encode(x)) == x exactly, including non-finite values. Every
+// length field is bounded before use, and array buffers grow with the
+// bytes actually read, so a corrupt or hostile record costs at most a
+// bounded allocation before it fails.
 package checkpoint
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
-
-	"repro/internal/nn"
 )
 
-const magic = "NNRCKPT1"
-
-// maxDim guards against corrupt headers allocating absurd buffers.
+// maxDim guards against corrupt headers claiming absurd array lengths.
 const maxDim = 1 << 28
 
-// Save writes net's parameters to w.
-func Save(w io.Writer, net *nn.Sequential) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-
-	if _, err := mw.Write([]byte(magic)); err != nil {
-		return fmt.Errorf("checkpoint: write magic: %w", err)
-	}
-	params := net.Params()
-	if err := writeU32(mw, uint32(len(params))); err != nil {
-		return err
-	}
-	for _, p := range params {
-		if err := writeString(mw, p.Name); err != nil {
-			return err
-		}
-		shape := p.Value.Shape()
-		if err := writeU32(mw, uint32(len(shape))); err != nil {
-			return err
-		}
-		for _, d := range shape {
-			if err := writeU32(mw, uint32(d)); err != nil {
-				return err
-			}
-		}
-		buf := make([]byte, 4*p.Value.Len())
-		for i, v := range p.Value.Data() {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := mw.Write(buf); err != nil {
-			return fmt.Errorf("checkpoint: write %s: %w", p.Name, err)
-		}
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("checkpoint: write checksum: %w", err)
-	}
-	return nil
-}
-
-// Load reads parameters from r into net. The network must have the same
-// parameter names, order and shapes as the one that was saved (build it
-// with the same constructor). Loaded values are bit-exact.
-func Load(r io.Reader, net *nn.Sequential) error {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
-
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(tr, head); err != nil {
-		return fmt.Errorf("checkpoint: read magic: %w", err)
-	}
-	if string(head) != magic {
-		return fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	n, err := readU32(tr)
-	if err != nil {
-		return err
-	}
-	params := net.Params()
-	if int(n) != len(params) {
-		return fmt.Errorf("checkpoint: has %d parameters, network has %d", n, len(params))
-	}
-	for _, p := range params {
-		name, err := readString(tr)
-		if err != nil {
-			return err
-		}
-		if name != p.Name {
-			return fmt.Errorf("checkpoint: parameter order mismatch: %q vs network %q", name, p.Name)
-		}
-		rank, err := readU32(tr)
-		if err != nil {
-			return err
-		}
-		if int(rank) != p.Value.Rank() {
-			return fmt.Errorf("checkpoint: %s rank %d, network has %d", name, rank, p.Value.Rank())
-		}
-		for i := 0; i < int(rank); i++ {
-			d, err := readU32(tr)
-			if err != nil {
-				return err
-			}
-			if d > maxDim {
-				return fmt.Errorf("checkpoint: %s dim %d implausibly large (%d)", name, i, d)
-			}
-			if int(d) != p.Value.Dim(i) {
-				return fmt.Errorf("checkpoint: %s dim %d is %d, network has %d", name, i, d, p.Value.Dim(i))
-			}
-		}
-		buf := make([]byte, 4*p.Value.Len())
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return fmt.Errorf("checkpoint: read %s: %w", name, err)
-		}
-		data := p.Value.Data()
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	}
-	want := crc.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return fmt.Errorf("checkpoint: read checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return fmt.Errorf("checkpoint: checksum mismatch: file %08x, content %08x", got, want)
-	}
-	return nil
-}
+// maxCellKey bounds the cell-key header field against corrupt files.
+const maxCellKey = 1 << 16
 
 func writeU32(w io.Writer, v uint32) error {
 	var b [4]byte
@@ -174,8 +72,8 @@ func readString(r io.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("checkpoint: name length %d implausible", n)
+	if n >= maxCellKey {
+		return "", fmt.Errorf("checkpoint: string length %d exceeds %d", n, maxCellKey-1)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

@@ -2,17 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
-	"repro/internal/data"
-	"repro/internal/device"
-	"repro/internal/models"
-	"repro/internal/nn"
-	"repro/internal/opt"
-	"repro/internal/sched"
-
 	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/sched"
 )
 
 // TestCheckpointBytesInvariantUnderIntraParallelism trains one cell whose
@@ -21,19 +15,6 @@ import (
 // to be byte-for-byte identical: intra-kernel parallelism is a pure
 // wall-clock knob all the way down to the on-disk artifact.
 func TestCheckpointBytesInvariantUnderIntraParallelism(t *testing.T) {
-	ds := data.CIFAR10Like(data.ScaleTest)
-	cfg := core.TrainConfig{
-		Model:    func() *nn.Sequential { return models.SmallCNN(models.DefaultSmallCNN(ds.Classes)) },
-		Dataset:  ds,
-		Device:   device.V100,
-		Epochs:   1,
-		Batch:    32,
-		Schedule: opt.Constant(0.05),
-		Momentum: 0.9,
-		Augment:  data.Augment{Shift: 1, Flip: true},
-		BaseSeed: 20220622,
-	}
-
 	oldWorkers := sched.Workers()
 	device.SetIntraOpThreshold(1) // every kernel shards when workers allow
 	defer func() {
@@ -42,17 +23,8 @@ func TestCheckpointBytesInvariantUnderIntraParallelism(t *testing.T) {
 	}()
 
 	encode := func(workers int) []byte {
-		t.Helper()
 		sched.SetWorkers(workers)
-		res, err := core.RunReplica(context.Background(), cfg, core.AlgoImpl, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := EncodeResult(&buf, "intra|cell", res); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return trainRecord(t, core.AlgoImpl, 0)
 	}
 
 	serial := encode(1)

@@ -6,34 +6,12 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 )
 
-// This file extends the checkpoint codec from bare weight vectors to a
-// replica's full training outcome: the ledger needs metrics and test-set
-// predictions alongside the weights so a replica served from disk is
-// indistinguishable — bit for bit — from one trained in process.
-//
-// Record format (little-endian):
-//
-//	magic   "NNRREPL1"                   8 bytes
-//	cellLen uint32, cell bytes           the replica's cell key
-//	variant uint32
-//	replica uint32
-//	acc     uint64 (float64 bits)        test accuracy
-//	npred   uint32, preds  []uint32      argmax test predictions
-//	nloss   uint32, loss   []uint64      per-epoch mean loss (float64 bits)
-//	nweight uint32, weight []uint32      flattened weights (float32 bits)
-//	crc32 (IEEE) of everything above
-//
-// Scalars and arrays round-trip through raw bit patterns (never text), so
-// decode(encode(x)) == x exactly, including non-finite values.
-
 const resultMagic = "NNRREPL1"
-
-// maxCellKey bounds the cell-key header field against corrupt files.
-const maxCellKey = 1 << 16
 
 // EncodeResult writes one replica's full training outcome under its cell
 // key. The cell key is the population identity *without* the replica
@@ -160,62 +138,51 @@ func decodeResultBody(r io.Reader, headerOnly bool) (string, *core.RunResult, er
 	if headerOnly {
 		return cell, res, nil
 	}
-	npred, err := readCount(r, "predictions")
-	if err != nil {
+	if res.Predictions, err = readWords(r, "predictions", 4, func(b []byte) int {
+		return int(binary.LittleEndian.Uint32(b))
+	}); err != nil {
 		return "", nil, err
 	}
-	if npred > 0 {
-		buf := make([]byte, 4*npred)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", nil, fmt.Errorf("checkpoint: read predictions: %w", err)
-		}
-		res.Predictions = make([]int, npred)
-		for i := range res.Predictions {
-			res.Predictions[i] = int(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	}
-	nloss, err := readCount(r, "epoch loss")
-	if err != nil {
+	if res.EpochLoss, err = readWords(r, "epoch loss", 8, func(b []byte) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}); err != nil {
 		return "", nil, err
 	}
-	if nloss > 0 {
-		buf := make([]byte, 8*nloss)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", nil, fmt.Errorf("checkpoint: read epoch loss: %w", err)
-		}
-		res.EpochLoss = make([]float64, nloss)
-		for i := range res.EpochLoss {
-			res.EpochLoss[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-	}
-	nweights, err := readCount(r, "weights")
-	if err != nil {
+	if res.Weights, err = readWords(r, "weights", 4, func(b []byte) float32 {
+		return math.Float32frombits(binary.LittleEndian.Uint32(b))
+	}); err != nil {
 		return "", nil, err
-	}
-	if nweights > 0 {
-		buf := make([]byte, 4*nweights)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", nil, fmt.Errorf("checkpoint: read weights: %w", err)
-		}
-		res.Weights = make([]float32, nweights)
-		for i := range res.Weights {
-			res.Weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
 	}
 	return cell, res, nil
 }
 
-// readCount reads an array length, rejecting sizes no legitimate record
-// reaches before any allocation happens.
-func readCount(r io.Reader, what string) (int, error) {
+// readWords reads an array: a count, bounded by maxDim, then that many
+// size-byte words, each decoded by word. It reads in chunks and grows the
+// result only as words arrive, so a forged count on a short record fails
+// at EOF after allocating at most a chunk, never the count.
+func readWords[T any](r io.Reader, what string, size int, word func([]byte) T) ([]T, error) {
 	n, err := readU32(r)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if n > maxDim {
-		return 0, fmt.Errorf("checkpoint: %s count %d implausibly large", what, n)
+		return nil, fmt.Errorf("checkpoint: %s count %d implausibly large", what, n)
 	}
-	return int(n), nil
+	const chunk = 1 << 16 // bytes per read
+	var out []T
+	buf := make([]byte, min(int(n)*size, chunk))
+	for left := int(n); left > 0; {
+		b := buf[:min(left*size, len(buf))]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("checkpoint: read %s: %w", what, err)
+		}
+		out = slices.Grow(out, min(left, max(len(out), len(b)/size)))
+		for i := 0; i < len(b); i += size {
+			out = append(out, word(b[i:]))
+		}
+		left -= len(b) / size
+	}
+	return out, nil
 }
 
 func writeU64(w io.Writer, v uint64) error {

@@ -2,7 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,11 +106,97 @@ func TestResultHeaderStopsBeforeArrays(t *testing.T) {
 	}
 }
 
-// TestResultRejectsBadMagic: a weight checkpoint (or garbage) is not a
+// TestResultRejectsBadMagic: a record under any other magic is not a
 // replica record.
 func TestResultRejectsBadMagic(t *testing.T) {
 	_, _, err := DecodeResult(strings.NewReader("NNRCKPT1xxxxxxxxxxxxxxxx"))
 	if err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// forgedCountRecord is a 37-byte record whose epoch-loss count claims
+// 2^28 entries (the maxDim limit) followed by a single payload byte.
+func forgedCountRecord() []byte {
+	var buf bytes.Buffer
+	if err := EncodeResult(&buf, "", &core.RunResult{}); err != nil {
+		panic(err)
+	}
+	rec := buf.Bytes()[:8+4+4+4+8+4] // magic, cell, variant, replica, acc, npred=0
+	rec = binary.LittleEndian.AppendUint32(rec, maxDim)
+	return append(rec, 0)
+}
+
+// allocated returns the bytes the process heap-allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeForgedCountAllocatesBounded: a record claiming more array
+// entries than it carries fails without allocating for the claimed count.
+// Fleet uploads reach the decoder from the network before any lease check.
+func TestDecodeForgedCountAllocatesBounded(t *testing.T) {
+	rec := forgedCountRecord()
+	if len(rec) != 37 {
+		t.Fatalf("forged record is %d bytes, want 37", len(rec))
+	}
+	var err error
+	got := allocated(func() { _, _, err = DecodeResult(bytes.NewReader(rec)) })
+	if err == nil {
+		t.Fatal("forged count decoded without error")
+	}
+	if got >= 1<<20 {
+		t.Fatalf("decoding a %d-byte record allocated %d bytes, want < 1 MiB", len(rec), got)
+	}
+}
+
+// TestDecodeRejectsCellKeyEncodeRefuses: the decoder accepts exactly the
+// cell keys EncodeResult writes, so every decoded record re-encodes.
+func TestDecodeRejectsCellKeyEncodeRefuses(t *testing.T) {
+	long := strings.Repeat("k", maxCellKey)
+	if err := EncodeResult(io.Discard, long, sampleResult()); err == nil {
+		t.Fatalf("encoded a %d-byte cell key", len(long))
+	}
+	rec := binary.LittleEndian.AppendUint32([]byte(resultMagic), uint32(len(long)))
+	rec = append(append(rec, long...), make([]byte, 4+4+8)...) // variant, replica, acc
+	if _, _, err := DecodeResultHeader(bytes.NewReader(rec)); err == nil {
+		t.Fatalf("decoded a %d-byte cell key", len(long))
+	}
+}
+
+// FuzzDecodeResult: decoding arbitrary bytes never panics, never
+// allocates far beyond the input's size, and whatever decodes re-encodes
+// to exactly the bytes it consumed. The header decoder never panics
+// either, and agrees with a successful full decode. The seed corpus
+// (testdata/fuzz) holds a valid record, a truncated one and
+// forgedCountRecord.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hcell, head, herr := DecodeResultHeader(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		var cell string
+		var res *core.RunResult
+		var err error
+		if got := allocated(func() { cell, res, err = DecodeResult(r) }); got > 1<<20+16*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := EncodeResult(&out, cell, res); err != nil {
+			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-encoded %d bytes differ from the %d consumed", out.Len(), len(consumed))
+		}
+		if herr != nil || hcell != cell || head.Variant != res.Variant || head.Replica != res.Replica ||
+			math.Float64bits(head.TestAccuracy) != math.Float64bits(res.TestAccuracy) {
+			t.Fatalf("header decode (%q, %+v, %v) disagrees with full decode", hcell, head, herr)
+		}
+	})
 }

@@ -8,67 +8,55 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
-	"repro/internal/rng"
 )
 
-// trainStepHarness assembles the exact pieces RunReplica wires together —
-// net + workspace, device, streaming loader, fused SGD — and returns a
-// closure running one training step (batch assembly through weight
-// update). Used by the zero-alloc gate and BenchmarkTrainStep.
+// trainStepHarness drives a Replica's own per-batch step one batch at a
+// time, so the zero-alloc gate and BenchmarkTrainStep measure the step
+// RunReplica runs. Deterministic mode trains ALGO, Default mode ALGO+IMPL.
 type trainStepHarness struct {
-	net    *nn.Sequential
-	dev    *device.Device
-	loader *data.Loader
-	sgd    *opt.SGD
-
-	shuffleS, augS *rng.Stream
-	epoch          int
-	ep             *data.Epoch
-	b              data.Batch
+	r     *Replica
+	epoch int
+	ep    *data.Epoch
+	b     data.Batch
 }
 
-func newTrainStepHarness(mode device.Mode, prefetch bool) *trainStepHarness {
+func newTrainStepHarness(mode device.Mode) *trainStepHarness {
 	ds := data.CIFAR10Like(data.ScaleTest)
-	h := &trainStepHarness{}
-	h.net = models.SmallCNN(models.DefaultSmallCNN(ds.Classes))
-	initS, shuffleS, augS, _, _ := SeedsFor(1, AlgoImpl, 0)
-	h.net.Init(initS)
-	h.shuffleS, h.augS = shuffleS, augS
-	var entropy *rng.Stream
+	v := Algo
 	if mode == device.Default {
-		entropy = rng.New(7)
+		v = AlgoImpl
 	}
-	h.dev = device.New(device.V100, mode, entropy)
-	h.dev.SetWorkspace(h.net.UseWorkspace())
-	h.loader = data.NewLoader(ds, ds.Train, 32, data.Augment{Shift: 1, Flip: true})
-	h.loader.SetPrefetch(prefetch)
-	h.sgd = opt.NewSGD(0.9, 5e-4)
-	h.startEpoch()
-	return h
-}
-
-func (h *trainStepHarness) startEpoch() {
-	h.ep = h.loader.Epoch(h.shuffleS.SplitIndex(h.epoch), h.augS.SplitIndex(h.epoch))
-	h.epoch++
+	r, err := NewReplica(TrainConfig{
+		Model:       func() *nn.Sequential { return models.SmallCNN(models.DefaultSmallCNN(ds.Classes)) },
+		Dataset:     ds,
+		Device:      device.V100,
+		Epochs:      1,
+		Batch:       32,
+		Schedule:    opt.Constant(0.01),
+		Momentum:    0.9,
+		WeightDecay: 5e-4,
+		Augment:     data.Augment{Shift: 1, Flip: true},
+		BaseSeed:    1,
+	}, v, 0)
+	if err != nil {
+		panic(err)
+	}
+	r.loader.SetPrefetch(false)
+	return &trainStepHarness{r: r, ep: r.batches(0)}
 }
 
 // step runs one training step, rolling into a fresh epoch when the current
 // one is exhausted. Reports whether an epoch boundary was crossed.
 func (h *trainStepHarness) step() bool {
-	rolled := false
-	if !h.ep.Next(&h.b) {
-		h.startEpoch()
-		rolled = true
+	rolled := !h.ep.Next(&h.b)
+	if rolled {
+		h.epoch++
+		h.ep = h.r.batches(h.epoch)
 		if !h.ep.Next(&h.b) {
 			panic("core: empty epoch in trainStepHarness")
 		}
 	}
-	h.net.ZeroGrad()
-	logits := h.net.Forward(h.dev, h.b.X, true)
-	_, dlogits := nn.SoftmaxCrossEntropyInPlace(h.dev, logits, h.b.Labels)
-	h.net.Backward(h.dev, dlogits)
-	h.sgd.Step(h.net.Params(), 0.01)
-	h.net.Workspace().Reset()
+	h.r.step(&h.b, 0.01)
 	return rolled
 }
 
@@ -83,7 +71,7 @@ func (h *trainStepHarness) step() bool {
 func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 	for _, mode := range []device.Mode{device.Deterministic, device.Default} {
 		t.Run(mode.String(), func(t *testing.T) {
-			h := newTrainStepHarness(mode, false)
+			h := newTrainStepHarness(mode)
 			// Warm epoch 0 end to end so every pool, workspace shape and
 			// layer buffer exists (including the partial final batch).
 			for !h.step() {

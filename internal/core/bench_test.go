@@ -177,7 +177,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		{"default", device.Default},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			h := newTrainStepHarness(bc.mode, false)
+			h := newTrainStepHarness(bc.mode)
 			for !h.step() {
 			}
 			b.ResetTimer()

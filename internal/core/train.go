@@ -102,66 +102,122 @@ func SeedsFor(base uint64, v Variant, replica int) (initS, shuffleS, augS *rng.S
 	return initS, shuffleS, augS, mode, entropy
 }
 
-// RunReplica trains a single replica under the variant's seed policy and
-// returns its trained state and test-set behaviour. Cancelling ctx aborts
-// the training loop at the next batch boundary with ctx.Err(); a partial
-// replica is never returned.
-func RunReplica(ctx context.Context, cfg TrainConfig, v Variant, replica int) (*RunResult, error) {
+// Replica is one replica's training state: the network initialized from
+// its seed policy (SeedsFor), the simulated device wired to the network's
+// activation workspace, the streaming loader and SGD. Its per-batch step
+// is the one training step in the repo — RunReplica, trace.Pair and the
+// zero-alloc gate (TestTrainStepZeroAllocSteadyState) all drive it.
+type Replica struct {
+	cfg            TrainConfig
+	net            *nn.Sequential
+	dev            *device.Device
+	loader         *data.Loader
+	sgd            *opt.SGD
+	shuffleS, augS *rng.Stream
+	res            *RunResult
+}
+
+// NewReplica validates cfg and builds replica `replica` of the variant,
+// ready to train.
+func NewReplica(cfg TrainConfig, v Variant, replica int) (*Replica, error) {
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	initS, shuffleS, augS, mode, entropy := SeedsFor(cfg.BaseSeed, v, replica)
+	r := &Replica{
+		cfg:      cfg,
+		net:      cfg.Model(),
+		dev:      device.New(cfg.Device, mode, entropy),
+		loader:   data.NewLoader(cfg.Dataset, cfg.Dataset.Train, cfg.Batch, cfg.Augment),
+		sgd:      opt.NewSGD(cfg.Momentum, cfg.WeightDecay),
+		shuffleS: shuffleS,
+		augS:     augS,
+		res:      &RunResult{Variant: v, Replica: replica, EpochLoss: make([]float64, 0, cfg.Epochs)},
+	}
+	r.net.Init(initS)
+	// The network's activation workspace backs every kernel output and
+	// grants the elementwise layers in-place updates; resetting it at each
+	// batch boundary makes the warm training step allocation-free.
+	r.dev.SetWorkspace(r.net.UseWorkspace())
+	r.loader.SetPrefetch(batchPrefetch.Load())
+	return r, nil
+}
+
+// Epoch trains the next pass over the training split and records its mean
+// loss. Cancelling ctx aborts at the next batch boundary with ctx.Err(),
+// leaving the replica mid-epoch.
+func (r *Replica) Epoch(ctx context.Context) error {
+	epoch := len(r.res.EpochLoss)
+	lr := r.cfg.Schedule.LR(epoch)
+	ep := r.batches(epoch)
+	var b data.Batch
+	var sum float64
+	n := 0
+	for ep.Next(&b) {
+		if err := ctx.Err(); err != nil {
+			ep.Close()
+			return err
+		}
+		sum += r.step(&b, lr)
+		n++
+	}
+	r.res.EpochLoss = append(r.res.EpochLoss, sum/float64(n))
+	return nil
+}
+
+// batches starts epoch `epoch`'s shuffled, augmented batch stream.
+func (r *Replica) batches(epoch int) *data.Epoch {
+	return r.loader.Epoch(r.shuffleS.SplitIndex(epoch), r.augS.SplitIndex(epoch))
+}
+
+// step trains on one batch and returns its mean loss.
+func (r *Replica) step(b *data.Batch, lr float64) float64 {
+	r.net.ZeroGrad()
+	logits := r.net.Forward(r.dev, b.X, true)
+	loss, dlogits := nn.SoftmaxCrossEntropyInPlace(r.dev, logits, b.Labels)
+	r.net.Backward(r.dev, dlogits)
+	r.sgd.Step(r.net.Params(), lr)
+	r.net.Workspace().Reset()
+	return loss
+}
+
+// Weights returns a copy of the current flattened weight vector.
+func (r *Replica) Weights() []float32 { return r.net.WeightVector() }
+
+// Result evaluates the network on the test split and returns the
+// replica's outcome. Call it once, after the last Epoch.
+func (r *Replica) Result() *RunResult {
+	test := r.cfg.Dataset.Test
+	r.res.Predictions = Predict(r.net, r.dev, r.cfg.Dataset, test, r.cfg.Batch)
+	correct := 0
+	for i, p := range r.res.Predictions {
+		if p == test.Y[i] {
+			correct++
+		}
+	}
+	r.res.TestAccuracy = float64(correct) / float64(len(r.res.Predictions))
+	r.res.Weights = r.Weights()
+	return r.res
+}
+
+// RunReplica trains a single replica under the variant's seed policy for
+// cfg.Epochs epochs and returns its trained state and test-set behaviour.
+// Cancelling ctx aborts the training loop at the next batch boundary with
+// ctx.Err(); a partial replica is never returned.
+func RunReplica(ctx context.Context, cfg TrainConfig, v Variant, replica int) (*RunResult, error) {
+	r, err := NewReplica(cfg, v, replica)
+	if err != nil {
 		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	initS, shuffleS, augS, mode, entropy := SeedsFor(cfg.BaseSeed, v, replica)
-
-	net := cfg.Model()
-	net.Init(initS)
-	dev := device.New(cfg.Device, mode, entropy)
-	// The network's activation workspace backs every kernel output and
-	// grants the elementwise layers in-place updates; resetting it at each
-	// batch boundary makes the warm training step allocation-free
-	// (TestTrainStepZeroAllocSteadyState gates this in CI).
-	ws := net.UseWorkspace()
-	dev.SetWorkspace(ws)
-	loader := data.NewLoader(cfg.Dataset, cfg.Dataset.Train, cfg.Batch, cfg.Augment)
-	loader.SetPrefetch(batchPrefetch.Load())
-	sgd := opt.NewSGD(cfg.Momentum, cfg.WeightDecay)
-
-	res := &RunResult{Variant: v, Replica: replica, EpochLoss: make([]float64, 0, cfg.Epochs)}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.Schedule.LR(epoch)
-		var epochLoss float64
-		batches := 0
-		ep := loader.Epoch(shuffleS.SplitIndex(epoch), augS.SplitIndex(epoch))
-		var b data.Batch
-		for ep.Next(&b) {
-			if err := ctx.Err(); err != nil {
-				ep.Close()
-				return nil, err
-			}
-			net.ZeroGrad()
-			logits := net.Forward(dev, b.X, true)
-			loss, dlogits := nn.SoftmaxCrossEntropyInPlace(dev, logits, b.Labels)
-			net.Backward(dev, dlogits)
-			sgd.Step(net.Params(), lr)
-			epochLoss += loss
-			batches++
-			ws.Reset()
-		}
-		res.EpochLoss = append(res.EpochLoss, epochLoss/float64(batches))
-	}
-
-	res.Predictions = Predict(net, dev, cfg.Dataset, cfg.Dataset.Test, cfg.Batch)
-	correct := 0
-	for i, p := range res.Predictions {
-		if p == cfg.Dataset.Test.Y[i] {
-			correct++
+		if err := r.Epoch(ctx); err != nil {
+			return nil, err
 		}
 	}
-	res.TestAccuracy = float64(correct) / float64(len(res.Predictions))
-	res.Weights = net.WeightVector()
-	return res, nil
+	return r.Result(), nil
 }
 
 // Predict runs the network over a split in fixed order (no shuffling, no

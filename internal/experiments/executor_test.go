@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -60,14 +61,17 @@ func TestTrainUnitRefusesDivergedUnit(t *testing.T) {
 }
 
 // recordingExecutor captures the units a population dispatches and
-// answers them locally.
+// answers them locally. Replicas train concurrently, so units is guarded.
 type recordingExecutor struct {
 	inner LocalExecutor
+	mu    sync.Mutex
 	units []WorkUnit
 }
 
 func (r *recordingExecutor) Train(ctx context.Context, u WorkUnit) (*core.RunResult, error) {
+	r.mu.Lock()
 	r.units = append(r.units, u)
+	r.mu.Unlock()
 	return r.inner.Train(ctx, u)
 }
 

@@ -285,15 +285,6 @@ func (l *Ledger) Hits() int64 { return l.hits.Load() }
 // opened.
 func (l *Ledger) Misses() int64 { return l.misses.Load() }
 
-// Has reports whether (cell, index) is indexed, without loading it or
-// refreshing its recency — the estimate path's peek.
-func (l *Ledger) Has(cell string, replica int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.idx.Get(stem(cell, replica))
-	return ok
-}
-
 // Warm counts how many of a population's first n replica indices are
 // already indexed — the "cache credit" a request for n replicas over
 // this cell would get.

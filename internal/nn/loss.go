@@ -83,41 +83,3 @@ func softmaxCE(dev *device.Device, ld, gd []float32, n, k int, labels []int) flo
 	tensor.PutScratch(perExample)
 	return loss
 }
-
-// SigmoidBCE computes mean binary cross-entropy with logits for multi-label
-// targets (N, K) in {0,1}, returning the scalar loss and dlogits. Used by
-// the CelebA-like attribute task.
-func SigmoidBCE(dev *device.Device, logits *tensor.Tensor, targets *tensor.Tensor) (float64, *tensor.Tensor) {
-	if !tensor.SameShape(logits, targets) {
-		panic(fmt.Sprintf("nn: BCE shape mismatch %v vs %v", logits.Shape(), targets.Shape()))
-	}
-	n, k := logits.Dim(0), logits.Dim(1)
-	dlogits := tensor.New(n, k)
-	perExample := make([]float32, n)
-	ld, td, gd := logits.Data(), targets.Data(), dlogits.Data()
-	invNK := 1 / float32(n*k)
-	for i := 0; i < n; i++ {
-		var rowLoss float64
-		for j := 0; j < k; j++ {
-			idx := i*k + j
-			z, t := float64(ld[idx]), float64(td[idx])
-			// loss = max(z,0) - z*t + log(1+exp(-|z|)) (stable form)
-			rowLoss += math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))
-			s := 1 / (1 + math.Exp(-z))
-			gd[idx] = float32(s-t) * invNK
-		}
-		perExample[i] = float32(rowLoss) / float32(k)
-	}
-	loss := float64(dev.ReduceSum(perExample)) / float64(n)
-	return loss, dlogits
-}
-
-// Sigmoid applies the logistic function elementwise into a new tensor.
-func Sigmoid(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
-	for i, v := range d {
-		d[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	return out
-}

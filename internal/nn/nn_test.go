@@ -246,19 +246,6 @@ func TestSoftmaxCrossEntropyConfidentCorrect(t *testing.T) {
 	}
 }
 
-func TestSigmoidBCEKnownValues(t *testing.T) {
-	logits := tensor.New(1, 2)
-	targets := tensor.FromSlice([]float32{1, 0}, 1, 2)
-	loss, dl := SigmoidBCE(detDev(), logits, targets)
-	if math.Abs(loss-math.Log(2)) > 1e-6 {
-		t.Fatalf("BCE at zero logits = %v, want log 2", loss)
-	}
-	// d/dz = (sigmoid(z) - t)/NK = (0.5-1)/2, (0.5-0)/2
-	if math.Abs(float64(dl.At(0, 0))+0.25) > 1e-6 || math.Abs(float64(dl.At(0, 1))-0.25) > 1e-6 {
-		t.Fatalf("BCE gradient %v", dl.Data())
-	}
-}
-
 func TestSequentialInitDeterministic(t *testing.T) {
 	build := func() *Sequential {
 		n := NewSequential("net",

@@ -208,12 +208,6 @@ func (t *Tensor) MulElem(u *Tensor) {
 	}
 }
 
-// CopyFrom copies u's contents into t. Lengths must match.
-func (t *Tensor) CopyFrom(u *Tensor) {
-	mustSameLen(t, u)
-	copy(t.data, u.data)
-}
-
 func mustSameLen(a, b *Tensor) {
 	if len(a.data) != len(b.data) {
 		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", len(a.data), len(b.data)))
@@ -259,31 +253,10 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 	return m
 }
 
-// ArgmaxRows treats t as a (rows, cols) matrix and returns the index of the
-// maximum element in each row (ties resolve to the lowest index, making the
-// result independent of any accumulation ordering).
-func (t *Tensor) ArgmaxRows() []int {
-	if t.Rank() != 2 {
-		panic("tensor: ArgmaxRows requires rank 2")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := make([]int, rows)
-	for r := 0; r < rows; r++ {
-		row := t.data[r*cols : (r+1)*cols]
-		best := 0
-		for c := 1; c < cols; c++ {
-			if row[c] > row[best] {
-				best = c
-			}
-		}
-		out[r] = best
-	}
-	return out
-}
-
-// ArgmaxRowsInto is the allocation-free form of ArgmaxRows: it writes each
-// row's argmax into dst (which must have length ≥ rows) and returns
-// dst[:rows].
+// ArgmaxRowsInto treats t as a (rows, cols) matrix and writes the index of
+// each row's maximum element into dst (which must have length ≥ rows),
+// returning dst[:rows]. Ties resolve to the lowest index, making the result
+// independent of any accumulation ordering.
 func (t *Tensor) ArgmaxRowsInto(dst []int) []int {
 	if t.Rank() != 2 {
 		panic("tensor: ArgmaxRowsInto requires rank 2")

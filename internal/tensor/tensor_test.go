@@ -132,7 +132,10 @@ func TestEqualAndMaxAbsDiff(t *testing.T) {
 
 func TestArgmaxRows(t *testing.T) {
 	m := FromSlice([]float32{1, 5, 2, 7, 7, 0}, 2, 3)
-	got := m.ArgmaxRows()
+	got := m.ArgmaxRowsInto(make([]int, 3))
+	if len(got) != 2 {
+		t.Fatalf("got %d rows, want 2", len(got))
+	}
 	if got[0] != 1 {
 		t.Fatalf("row 0 argmax = %d", got[0])
 	}

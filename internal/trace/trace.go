@@ -6,23 +6,16 @@
 // design choices like batch normalization can be measured directly.
 //
 // This is reproduction infrastructure the paper's analysis implies but does
-// not ship: a paired-replica trainer that keeps both models in lockstep on
-// identical batches and differs only in the factors the chosen variant
-// varies.
+// not ship: two core.Replicas stepped epoch by epoch in lockstep, differing
+// only in the factors the chosen variant varies.
 package trace
 
 import (
-	"fmt"
+	"context"
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/data"
-	"repro/internal/device"
 	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/opt"
-	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 // Point is one epoch's divergence measurement between the paired replicas.
@@ -60,81 +53,27 @@ func (t *Trajectory) AmplificationOnset(threshold float64) int {
 	return -1
 }
 
-// MonotoneAfterOnset reports whether MaxAbsDiff never falls below
-// fraction*peak once the onset threshold is crossed — a loose check that
-// the divergence regime is sustained growth rather than a transient.
-func (t *Trajectory) MonotoneAfterOnset(threshold, fraction float64) bool {
-	onset := t.AmplificationOnset(threshold)
-	if onset < 0 {
-		return false
-	}
-	peak := 0.0
-	for _, p := range t.Points {
-		if p.Epoch < onset {
-			continue
-		}
-		if p.MaxAbsDiff > peak {
-			peak = p.MaxAbsDiff
-		}
-		if p.MaxAbsDiff < fraction*peak {
-			return false
-		}
-	}
-	return true
-}
-
-// Pair trains two replicas of cfg in lockstep under the given variant
-// (replica indices 0 and 1) and records their weight divergence after every
-// epoch. Unlike core.RunVariant, both models see exactly interleaved
-// execution, so the curve is sampled at identical optimization steps.
+// Pair trains replicas 0 and 1 of cfg under the given variant as two
+// core.Replicas stepped epoch by epoch, and records their weight divergence
+// after every epoch. Each replica trains exactly as core.RunReplica would
+// train it; the pairing only samples both at identical optimization steps.
 func Pair(cfg core.TrainConfig, v core.Variant) (*Trajectory, error) {
-	if cfg.Model == nil || cfg.Dataset == nil || cfg.Epochs <= 0 || cfg.Batch <= 0 || cfg.Schedule == nil {
-		return nil, fmt.Errorf("trace: incomplete TrainConfig")
+	a, err := core.NewReplica(cfg, v, 0)
+	if err != nil {
+		return nil, err
 	}
-	type rep struct {
-		net      *nn.Sequential
-		dev      *device.Device
-		ws       *tensor.Workspace
-		loader   *data.Loader
-		sgd      *opt.SGD
-		shuffleS *rng.Stream
-		augS     *rng.Stream
+	b, err := core.NewReplica(cfg, v, 1)
+	if err != nil {
+		return nil, err
 	}
-	mk := func(replica int) rep {
-		initS, shuffleS, augS, mode, entropy := core.SeedsFor(cfg.BaseSeed, v, replica)
-		net := cfg.Model()
-		net.Init(initS)
-		dev := device.New(cfg.Device, mode, entropy)
-		ws := net.UseWorkspace()
-		dev.SetWorkspace(ws)
-		return rep{
-			net:      net,
-			dev:      dev,
-			ws:       ws,
-			loader:   data.NewLoader(cfg.Dataset, cfg.Dataset.Train, cfg.Batch, cfg.Augment),
-			sgd:      opt.NewSGD(cfg.Momentum, cfg.WeightDecay),
-			shuffleS: shuffleS,
-			augS:     augS,
-		}
-	}
-	a, b := mk(0), mk(1)
-
 	tr := &Trajectory{Variant: v}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.Schedule.LR(epoch)
-		for _, r := range []*rep{&a, &b} {
-			ep := r.loader.Epoch(r.shuffleS.SplitIndex(epoch), r.augS.SplitIndex(epoch))
-			var batch data.Batch
-			for ep.Next(&batch) {
-				r.net.ZeroGrad()
-				logits := r.net.Forward(r.dev, batch.X, true)
-				_, dlogits := nn.SoftmaxCrossEntropyInPlace(r.dev, logits, batch.Labels)
-				r.net.Backward(r.dev, dlogits)
-				r.sgd.Step(r.net.Params(), lr)
-				r.ws.Reset()
+		for _, r := range []*core.Replica{a, b} {
+			if err := r.Epoch(context.TODO()); err != nil {
+				return nil, err
 			}
 		}
-		wa, wb := a.net.WeightVector(), b.net.WeightVector()
+		wa, wb := a.Weights(), b.Weights()
 		tr.Points = append(tr.Points, Point{
 			Epoch:      epoch,
 			MaxAbsDiff: maxAbsDiff(wa, wb),

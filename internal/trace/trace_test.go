@@ -143,14 +143,8 @@ func TestTrajectoryHelpers(t *testing.T) {
 	if got := tr.AmplificationOnset(1e-4); got != 2 {
 		t.Fatalf("onset = %d, want 2", got)
 	}
-	if !tr.MonotoneAfterOnset(1e-4, 0.01) {
-		t.Fatal("sustained growth not detected")
-	}
 	empty := &Trajectory{}
 	if empty.Final() != (Point{}) {
 		t.Fatal("empty Final not zero")
-	}
-	if empty.MonotoneAfterOnset(1e-4, 0.5) {
-		t.Fatal("empty trajectory claims monotone growth")
 	}
 }

@@ -94,7 +94,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/ledger"
 	"repro/internal/loadtest"
-	"repro/internal/quarantine"
+	"repro/internal/recdir"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/server"
@@ -760,9 +760,9 @@ func ledgerCmd(args []string) error {
 		if err := tb.Render(os.Stdout); err != nil {
 			return err
 		}
-		if n := quarantine.Count(*dir); n > 0 {
+		if n := recdir.QuarantineCount(*dir); n > 0 {
 			fmt.Fprintf(os.Stderr, "nnrand: %d corrupt record(s) in %s — inspect the .reason files\n",
-				n, filepath.Join(*dir, quarantine.Dir))
+				n, filepath.Join(*dir, recdir.QuarantineDir))
 		}
 		return nil
 	case "gc":

@@ -36,8 +36,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,7 +43,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/quarantine"
+	"repro/internal/recdir"
 )
 
 // Executor is the seam the coordinator plugs into: an alias for the
@@ -110,9 +108,10 @@ type Options struct {
 	// next lease request.
 	TTL time.Duration
 	// Dir, when set, is where rejected uploads are preserved: a payload
-	// that fails CRC or unit verification is written there and moved to
-	// its quarantine/ subdirectory with a reason sidecar. Empty drops
-	// rejected payloads (they are still counted and refused).
+	// that fails CRC or unit verification is written to its quarantine/
+	// subdirectory as upload-<n>.bin (n counts rejections) with a reason
+	// sidecar naming the unit. Empty drops rejected payloads (they are
+	// still counted and refused).
 	Dir string
 }
 
@@ -423,7 +422,7 @@ func (c *Coordinator) FailUnit(worker, id, msg string) string {
 // sees results that round-tripped the codec intact.
 func (c *Coordinator) CompleteUpload(worker, id string, cell string, res *core.RunResult, decodeErr error, raw []byte) (string, error) {
 	if decodeErr != nil {
-		c.reject(id, raw, fmt.Sprintf("upload for unit %s failed to decode: %v", id, decodeErr))
+		c.reject(raw, fmt.Sprintf("upload for unit %q failed to decode: %v", id, decodeErr))
 		return "", fmt.Errorf("fleet: unit %s: upload rejected: %w", id, decodeErr)
 	}
 	c.mu.Lock()
@@ -437,31 +436,25 @@ func (c *Coordinator) CompleteUpload(worker, id string, cell string, res *core.R
 	}
 	c.mu.Unlock()
 	if ok && live && (cell != wantCell || res.Replica != wantReplica) {
-		c.reject(id, raw, fmt.Sprintf("upload for unit %s carries cell %q replica %d, want cell %q replica %d", id, cell, res.Replica, wantCell, wantReplica))
+		c.reject(raw, fmt.Sprintf("upload for unit %q carries cell %q replica %d, want cell %q replica %d", id, cell, res.Replica, wantCell, wantReplica))
 		return "", fmt.Errorf("fleet: unit %s: upload rejected: wrong cell or replica", id)
 	}
 	return c.complete(worker, id, res, nil), nil
 }
 
 // reject counts a refused upload and preserves its payload for
-// diagnosis when a directory is configured.
-func (c *Coordinator) reject(id string, raw []byte, reason string) {
+// diagnosis when a directory is configured. The file is named by the
+// rejection's sequence number, never by the caller-supplied unit id,
+// which goes into the reason (every reason names its unit).
+func (c *Coordinator) reject(raw []byte, reason string) {
 	c.mu.Lock()
 	c.rejected++
 	seq := c.rejected
-	dir := c.dir
 	c.mu.Unlock()
-	if dir == "" || len(raw) == 0 {
+	if c.dir == "" || len(raw) == 0 {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	name := fmt.Sprintf("%s-upload-%d.bin", id, seq)
-	if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-		return
-	}
-	_ = quarantine.Move(dir, name, reason)
+	_ = recdir.Preserve(c.dir, fmt.Sprintf("upload-%d.bin", seq), raw, reason)
 }
 
 // Stats is the coordinator's observable state for /v1/stats.

@@ -8,12 +8,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/quarantine"
+	"repro/internal/recdir"
 	"repro/internal/report"
 )
 
@@ -99,10 +100,10 @@ func TestJournalQuarantinesCorruptEntries(t *testing.T) {
 	if len(entries) != 1 || entries[0].Key != "fig1-test-r1-s7" {
 		t.Fatalf("entries = %+v", entries)
 	}
-	if j.Quarantined() != 1 || quarantine.Count(j.Dir()) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d", j.Quarantined(), quarantine.Count(j.Dir()))
+	if j.Quarantined() != 1 || recdir.QuarantineCount(j.Dir()) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d", j.Quarantined(), recdir.QuarantineCount(j.Dir()))
 	}
-	if reason := quarantine.Reason(j.Dir(), "torn.json"); reason == "" {
+	if reason := recdir.QuarantineReason(j.Dir(), "torn.json"); reason == "" {
 		t.Fatal("no quarantine reason recorded")
 	}
 }
@@ -536,4 +537,101 @@ func TestDrainDeadlineCancelsAndPreserves(t *testing.T) {
 	if journal.Len() != 1 {
 		t.Fatal("drain-cancelled job lost its journal entry")
 	}
+}
+
+// TestJournalQuarantinesForeignKey: an entry whose key is not its own
+// file name (here a tampered "../" key aimed at the result store beside
+// the journal) is quarantined with a reason that names the mismatch.
+// Recovery must never resubmit it — its terminal Remove would unlink a
+// stored result — and must leave the store untouched.
+func TestJournalQuarantinesForeignKey(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := OpenJournal(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("fig2-test-r1-s7", stubResult("fig2")); err != nil {
+		t.Fatal(err)
+	}
+	tampered := journalEntry(KindExperiment, "fig2", "../fig2-test-r1-s7", testConfig(), nil)
+	b, err := json.Marshal(tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(journal.Dir(), "fig2-test-r1-s7.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Options{Journal: journal, Store: store,
+		Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
+			return stubResult(id), nil
+		}})
+	n, _ := e.Recover(nil)
+	for _, j := range e.Jobs() {
+		waitTerminal(t, j)
+	}
+	if n != 0 {
+		t.Fatalf("recovered %d jobs from a tampered entry", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig2-test-r1-s7.json")); err != nil {
+		t.Fatalf("stored result gone after recovery: %v", err)
+	}
+	if journal.Quarantined() != 1 || journal.Len() != 0 {
+		t.Fatalf("quarantined = %d, journaled = %d; want 1 and 0", journal.Quarantined(), journal.Len())
+	}
+	if reason := recdir.QuarantineReason(journal.Dir(), "fig2-test-r1-s7.json"); !strings.Contains(reason, `"../fig2-test-r1-s7"`) {
+		t.Fatalf("reason = %q, want it to name the foreign key", reason)
+	}
+}
+
+// TestJournalReasonStatesFailure: an entry that parses but lacks a kind
+// is quarantined with that as its reason, not a nil decode error.
+func TestJournalReasonStatesFailure(t *testing.T) {
+	j := newTestJournal(t)
+	if err := os.WriteFile(filepath.Join(j.Dir(), "fig1-test-r1-s7.json"), []byte(`{"key":"fig1-test-r1-s7"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := j.Entries(); err != nil || len(entries) != 0 {
+		t.Fatalf("entries = %+v, %v", entries, err)
+	}
+	reason := recdir.QuarantineReason(j.Dir(), "fig1-test-r1-s7.json")
+	if !strings.Contains(reason, "no kind") || strings.Contains(reason, "<nil>") {
+		t.Fatalf("reason = %q", reason)
+	}
+}
+
+// FuzzJournalEntries: whatever bytes sit in a journal file, Entries
+// never panics, returns only entries that name their own file with a
+// plain key, and moves every file it does not return into quarantine
+// byte for byte — never deletes it.
+func FuzzJournalEntries(f *testing.F) {
+	const stem = "fig1-test-r1-s7"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := OpenJournal(filepath.Join(t.TempDir(), "journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(j.Dir(), stem+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := j.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Key != stem || recdir.CheckKey(e.Key) != nil || e.Kind == "" {
+				t.Fatalf("returned entry %+v for file %s.json", e, stem)
+			}
+		}
+		if len(entries) == 1 {
+			return
+		}
+		kept, err := os.ReadFile(filepath.Join(j.Dir(), recdir.QuarantineDir, stem+".json"))
+		if err != nil || !bytes.Equal(kept, data) || j.Quarantined() != 1 {
+			t.Fatalf("undecodable entry not quarantined intact (quarantined %d): %v", j.Quarantined(), err)
+		}
+	})
 }

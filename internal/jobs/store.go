@@ -2,18 +2,15 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"io"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/lru"
-	"repro/internal/quarantine"
+	"repro/internal/recdir"
 	"repro/internal/report"
 )
 
@@ -34,21 +31,18 @@ func ResultKey(id string, cfg experiments.Config) string {
 // The index is LRU-ordered via the shared intrusive doubly-linked list
 // (internal/lru — the same machinery behind the replica ledger's GC):
 // Get and Put are O(1) including eviction. With a directory configured,
-// Put persists each result as {key}.json via write-to-temp + atomic
-// rename, eviction unlinks the file, and Open rebuilds the index from
-// the directory — so results survive process restarts and the directory
-// never outgrows the configured capacity.
+// Put persists each result as {key}.json through the shared record
+// protocol (internal/recdir: write-to-temp + atomic rename, quarantine
+// of corrupt files), eviction unlinks the file, and Open rebuilds the
+// index from the directory — so results survive process restarts and
+// the directory never outgrows the configured capacity.
 type Store struct {
-	mu  sync.Mutex
-	dir string // "" = memory-only
-	cap int
+	mu   sync.Mutex
+	disk *recdir.Dir // memory-only when its path is ""
+	cap  int
 	// idx values are nil for entries known only from the directory scan;
 	// Get loads them lazily.
 	idx *lru.List[string, *report.Result]
-
-	// quarantined counts corrupt files moved aside (never deleted); see
-	// internal/quarantine.
-	quarantined atomic.Int64
 
 	// hits/misses count Get outcomes since Open. Every submission probes
 	// the store first, so these are the result-cache traffic counters the
@@ -68,56 +62,20 @@ func Open(dir string, capacity int) (*Store, error) {
 	if capacity <= 0 {
 		capacity = DefaultStoreCapacity
 	}
-	s := &Store{dir: dir, cap: capacity, idx: lru.New[string, *report.Result]()}
-	if dir == "" {
-		return s, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: opening store: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
+	disk, keys, err := recdir.Open(dir, "store", ".json")
 	if err != nil {
-		return nil, fmt.Errorf("jobs: scanning store: %w", err)
+		return nil, err
 	}
-	type onDisk struct {
-		key string
-		mod int64
-	}
-	var found []onDisk
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, tmpPrefix) {
-			// A writer crashed between create and rename; the torn file was
-			// never published, so it cannot be served — but it is evidence
-			// of the crash, so it is preserved in quarantine, not deleted.
-			s.quarantineFile(name, "orphaned temp file from an interrupted write")
-			continue
-		}
-		key, ok := strings.CutSuffix(name, ".json")
-		if !ok || key == "" {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		found = append(found, onDisk{key, info.ModTime().UnixNano()})
-	}
-	sort.Slice(found, func(i, j int) bool { return found[i].mod < found[j].mod })
-	for _, f := range found { // oldest first, so the newest ends up MRU
-		s.idx.PushFront(f.key, nil)
+	s := &Store{disk: disk, cap: capacity, idx: lru.New[string, *report.Result]()}
+	for _, key := range keys { // oldest first, so the newest ends up MRU
+		s.idx.PushFront(key, nil)
 	}
 	s.evictOverCap()
 	return s, nil
 }
 
-const tmpPrefix = ".tmp-"
-
 // Dir reports the backing directory ("" when memory-only).
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.disk.Path() }
 
 // Len reports the number of indexed results.
 func (s *Store) Len() int {
@@ -131,7 +89,8 @@ func (s *Store) Len() int {
 // LRU position. A file that no longer parses is moved to quarantine
 // (with a reason sidecar), dropped from the index and reported as a
 // miss — so one corrupt file degrades that key to a recompute instead of
-// wedging it, and the evidence survives for diagnosis.
+// wedging it, and the evidence survives for diagnosis. A file that
+// cannot be opened or read is a miss that stays indexed.
 func (s *Store) Get(key string) (*report.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,16 +100,15 @@ func (s *Store) Get(key string) (*report.Result, bool) {
 		return nil, false
 	}
 	if e.Value == nil {
-		res, err := s.load(key)
-		if err != nil {
-			if !os.IsNotExist(err) {
-				s.quarantineFile(key+".json", fmt.Sprintf("result failed to decode: %v", err))
+		var res report.Result
+		if err := s.disk.Load(key, func(r io.Reader) error { return decodeJSON(r, &res) }); err != nil {
+			if !errors.Is(err, recdir.ErrUnreadable) {
+				s.idx.Remove(e) // gone, or quarantined as corrupt
 			}
-			s.remove(e, false)
 			s.misses.Add(1)
 			return nil, false
 		}
-		e.Value = res
+		e.Value = &res
 	}
 	s.idx.MoveToFront(e)
 	s.hits.Add(1)
@@ -166,53 +124,35 @@ func (s *Store) Misses() int64 { return s.misses.Load() }
 
 // Quarantined reports how many corrupt files this store has moved to
 // quarantine since it was opened.
-func (s *Store) Quarantined() int64 { return s.quarantined.Load() }
-
-// quarantineFile moves one corrupt file aside and counts it; a failed
-// move leaves the file in place for the next attempt — never a silent
-// delete.
-func (s *Store) quarantineFile(name, reason string) {
-	if s.dir == "" {
-		return
-	}
-	if err := quarantine.Move(s.dir, name, reason); err == nil {
-		s.quarantined.Add(1)
-	}
-}
+func (s *Store) Quarantined() int64 { return s.disk.Quarantined() }
 
 // Writable probes the backing directory for write access — the serve
 // layer's readiness check. A memory-only store is always writable.
-func (s *Store) Writable() error {
-	if err := faults.Fire("store.probe"); err != nil {
-		return err
-	}
-	if s.dir == "" {
-		return nil
-	}
-	f, err := os.CreateTemp(s.dir, tmpPrefix+"probe-*")
-	if err != nil {
-		return fmt.Errorf("jobs: store %s not writable: %w", s.dir, err)
-	}
-	name := f.Name()
-	f.Close()
-	_ = os.Remove(name)
-	return nil
-}
+func (s *Store) Writable() error { return s.disk.Writable() }
 
 // Put stores res under key, evicting the least recently used entries
 // (and their files) beyond capacity. With a directory configured the
 // result is also written to {key}.json atomically; the in-memory index
 // is updated even if the disk write fails, and the write error is
-// returned so callers can surface degraded durability. The file is
-// published while the lock is held so it can never race a concurrent
-// eviction's unlink and resurrect an evicted key on disk — writes are
-// one small JSON file per completed job, so the hold is cheap.
+// returned so callers can surface degraded durability. The result is
+// encoded before the lock is taken and published while it is held, so
+// the file can never race a concurrent eviction's unlink and resurrect
+// an evicted key on disk; the "store.write" fault point can fail or
+// tear the write.
 func (s *Store) Put(key string, res *report.Result) error {
 	if res == nil {
 		return fmt.Errorf("jobs: refusing to store nil result under %q", key)
 	}
-	if strings.ContainsAny(key, "/\\") || strings.HasPrefix(key, ".") {
-		return fmt.Errorf("jobs: invalid result key %q", key)
+	if err := recdir.CheckKey(key); err != nil {
+		return fmt.Errorf("jobs: invalid result key: %w", err)
+	}
+	var b []byte
+	if s.disk.Path() != "" {
+		var err error
+		if b, err = json.MarshalIndent(res, "", "  "); err != nil {
+			return fmt.Errorf("jobs: encoding result %q: %w", key, err)
+		}
+		b = append(b, '\n')
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,62 +163,18 @@ func (s *Store) Put(key string, res *report.Result) error {
 		s.idx.PushFront(key, res)
 		s.evictOverCap()
 	}
-	if s.dir == "" {
-		return nil
-	}
-	return s.persist(key, res)
+	return s.disk.Publish(key, b)
 }
 
-// persist publishes res as {key}.json with write-to-temp + rename, so
-// readers (including a future process) only ever observe complete files
-// — unless the "store.write" fault point is armed, which can fail the
-// write outright or tear it (publish a truncated file, simulating a
-// filesystem that acknowledged a write it never completed).
-func (s *Store) persist(key string, res *report.Result) error {
-	b, err := json.MarshalIndent(res, "", "  ")
+// decodeJSON reads one whole JSON file into v — strictly, so trailing
+// bytes are corruption too.
+func decodeJSON(r io.Reader, v any) error {
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return fmt.Errorf("jobs: encoding result %q: %w", key, err)
+		return err
 	}
-	b = append(b, '\n')
-	b, injErr := faults.FireWrite("store.write", b)
-	if injErr != nil {
-		return fmt.Errorf("jobs: persisting result %q: %w", key, injErr)
-	}
-	tmp, err := os.CreateTemp(s.dir, tmpPrefix+key+"-*")
-	if err != nil {
-		return fmt.Errorf("jobs: persisting result %q: %w", key, err)
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.path(key))
-	}
-	if werr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: persisting result %q: %w", key, werr)
-	}
-	return nil
+	return json.Unmarshal(b, v)
 }
-
-func (s *Store) load(key string) (*report.Result, error) {
-	if err := faults.Fire("store.read"); err != nil {
-		return nil, err
-	}
-	b, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, err
-	}
-	var res report.Result
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, fmt.Errorf("jobs: corrupt stored result %q: %w", key, err)
-	}
-	return &res, nil
-}
-
-func (s *Store) path(key string) string { return filepath.Join(s.dir, key+".json") }
 
 // Keys lists the indexed keys from most to least recently used (tests
 // and diagnostics).
@@ -292,18 +188,13 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// remove unlinks e from the index; dropFile also unlinks its on-disk
-// form so eviction bounds the directory, not just memory. Callers hold
-// s.mu.
-func (s *Store) remove(e *lru.Entry[string, *report.Result], dropFile bool) {
-	s.idx.Remove(e)
-	if dropFile && s.dir != "" {
-		_ = os.Remove(s.path(e.Key))
-	}
-}
-
+// evictOverCap drops the least recently used results beyond capacity,
+// files included, so eviction bounds the directory, not just memory.
+// Callers hold s.mu.
 func (s *Store) evictOverCap() {
 	for s.idx.Len() > s.cap {
-		s.remove(s.idx.Back(), true)
+		e := s.idx.Back()
+		s.idx.Remove(e)
+		s.disk.Remove(e.Key)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/quarantine"
+	"repro/internal/recdir"
 )
 
 // TestStoreTornWriteQuarantinedOnReread: a torn result write (published
@@ -36,10 +36,10 @@ func TestStoreTornWriteQuarantinedOnReread(t *testing.T) {
 	if _, ok := s2.Get("fig1-test-r1-s7"); ok {
 		t.Fatal("torn result served")
 	}
-	if s2.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", s2.Quarantined(), quarantine.Count(dir))
+	if s2.Quarantined() != 1 || recdir.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", s2.Quarantined(), recdir.QuarantineCount(dir))
 	}
-	if reason := quarantine.Reason(dir, "fig1-test-r1-s7.json"); !strings.Contains(reason, "decode") {
+	if reason := recdir.QuarantineReason(dir, "fig1-test-r1-s7.json"); !strings.Contains(reason, "decode") {
 		t.Fatalf("reason = %q", reason)
 	}
 
@@ -60,7 +60,7 @@ func TestStoreTornWriteQuarantinedOnReread(t *testing.T) {
 // is quarantined by the next Open, not deleted and not indexed.
 func TestStoreQuarantinesOrphanedTemp(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"fig1-xyz"), []byte(`{"exp`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, recdir.TempPrefix+"fig1-xyz"), []byte(`{"exp`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir, 0)
@@ -70,8 +70,8 @@ func TestStoreQuarantinesOrphanedTemp(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("orphaned temp file indexed: len %d", s.Len())
 	}
-	if s.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d", s.Quarantined(), quarantine.Count(dir))
+	if s.Quarantined() != 1 || recdir.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d", s.Quarantined(), recdir.QuarantineCount(dir))
 	}
 }
 
@@ -110,7 +110,7 @@ func TestStoreWritableProbe(t *testing.T) {
 	faults.Reset()
 	files, _ := os.ReadDir(s.Dir())
 	for _, f := range files {
-		if strings.HasPrefix(f.Name(), tmpPrefix) {
+		if strings.HasPrefix(f.Name(), recdir.TempPrefix) {
 			t.Fatalf("probe left %s behind", f.Name())
 		}
 	}
@@ -143,5 +143,35 @@ func TestStoreQuarantineIsInvisibleToReindex(t *testing.T) {
 	}
 	if _, ok := s2.Get("bad-key"); ok {
 		t.Fatal("quarantined result served after reopen")
+	}
+}
+
+// TestStoreReadErrorIsNotCorruption: a failed read (the "store.read"
+// fault point, armed once) is a miss that leaves the result on disk and
+// indexed — once the fault clears, the next Get serves it.
+func TestStoreReadErrorIsNotCorruption(t *testing.T) {
+	defer faults.Reset()
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("fig1-test-r1-s7", stubResult("fig1")); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disarm := faults.Arm("store.read", faults.Injection{Err: errors.New("EIO"), Count: 1})
+	if _, ok := s2.Get("fig1-test-r1-s7"); ok {
+		t.Fatal("result served through a failed read")
+	}
+	disarm()
+	if s2.Quarantined() != 0 || recdir.QuarantineCount(dir) != 0 || s2.Len() != 1 {
+		t.Fatalf("read error quarantined %d / on disk %d, len %d; want 0, 0, 1", s2.Quarantined(), recdir.QuarantineCount(dir), s2.Len())
+	}
+	if res, ok := s2.Get("fig1-test-r1-s7"); !ok || res.Experiment != "fig1" {
+		t.Fatalf("second Get after the fault cleared: ok=%v res=%+v", ok, res)
 	}
 }

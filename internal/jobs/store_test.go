@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/experiments"
+	"repro/internal/recdir"
 	"repro/internal/report"
 )
 
@@ -172,7 +173,7 @@ func TestStoreReopenEvictsBeyondCapacity(t *testing.T) {
 // a corrupt published file is a miss, not a crash.
 func TestStoreIgnoresGarbage(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"x-123"), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, recdir.TempPrefix+"x-123"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte("{not json"), 0o644); err != nil {
@@ -182,7 +183,7 @@ func TestStoreIgnoresGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, tmpPrefix+"x-123")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, recdir.TempPrefix+"x-123")); !os.IsNotExist(err) {
 		t.Fatalf("temp file survived open (err = %v)", err)
 	}
 	if _, ok := s.Get("bad"); ok {

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/quarantine"
+	"repro/internal/recdir"
 )
 
 // TestTornWriteQuarantinedOnReread simulates the headline crash: a
@@ -29,7 +29,7 @@ func TestTornWriteQuarantinedOnReread(t *testing.T) {
 		t.Fatalf("torn put surfaced an error (the write was acknowledged): %v", err)
 	}
 	// The truncated record was published under the real name.
-	if fi, err := os.Stat(l.path(stem("c", 0))); err != nil || fi.Size() != 10 {
+	if fi, err := os.Stat(l.disk.File(stem("c", 0))); err != nil || fi.Size() != 10 {
 		t.Fatalf("torn record: %v, size %d", err, fi.Size())
 	}
 
@@ -41,11 +41,11 @@ func TestTornWriteQuarantinedOnReread(t *testing.T) {
 	if _, ok := l2.Get("c", 0); ok {
 		t.Fatal("torn record served")
 	}
-	if l2.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", l2.Quarantined(), quarantine.Count(dir))
+	if l2.Quarantined() != 1 || recdir.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d, want 1 and 1", l2.Quarantined(), recdir.QuarantineCount(dir))
 	}
 	name := stem("c", 0) + fileExt
-	if reason := quarantine.Reason(dir, name); !strings.Contains(reason, "decode") {
+	if reason := recdir.QuarantineReason(dir, name); !strings.Contains(reason, "decode") {
 		t.Fatalf("reason = %q", reason)
 	}
 
@@ -63,8 +63,8 @@ func TestTornWriteQuarantinedOnReread(t *testing.T) {
 		t.Fatalf("re-put after quarantine: ok=%v res=%+v", ok, got)
 	}
 	// The quarantined evidence is still there.
-	if quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantine count after recovery = %d", quarantine.Count(dir))
+	if recdir.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantine count after recovery = %d", recdir.QuarantineCount(dir))
 	}
 }
 
@@ -73,7 +73,7 @@ func TestTornWriteQuarantinedOnReread(t *testing.T) {
 // instead of deleting it, and never serves it.
 func TestCrashBetweenTempAndRename(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"record-123"), []byte("half a record"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, recdir.TempPrefix+"record-123"), []byte("half a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l, err := Open(dir, 0)
@@ -83,8 +83,8 @@ func TestCrashBetweenTempAndRename(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("orphaned temp file indexed: len %d", l.Len())
 	}
-	if l.Quarantined() != 1 || quarantine.Count(dir) != 1 {
-		t.Fatalf("quarantined = %d, on disk = %d", l.Quarantined(), quarantine.Count(dir))
+	if l.Quarantined() != 1 || recdir.QuarantineCount(dir) != 1 {
+		t.Fatalf("quarantined = %d, on disk = %d", l.Quarantined(), recdir.QuarantineCount(dir))
 	}
 }
 
@@ -126,8 +126,39 @@ func TestWritableProbe(t *testing.T) {
 	// The probe leaves no debris behind.
 	files, _ := os.ReadDir(l.Dir())
 	for _, f := range files {
-		if strings.HasPrefix(f.Name(), tmpPrefix) {
+		if strings.HasPrefix(f.Name(), recdir.TempPrefix) {
 			t.Fatalf("probe left %s behind", f.Name())
 		}
+	}
+}
+
+// TestReadErrorIsNotCorruption: a failed read (the "ledger.read" fault
+// point, armed once) is a miss that leaves the record on disk and
+// indexed — once the fault clears, the next Get serves it bit-exactly
+// instead of retraining.
+func TestReadErrorIsNotCorruption(t *testing.T) {
+	defer faults.Reset()
+	dir := t.TempDir()
+	l, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put("c", 0, fakeResult(0)); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disarm := faults.Arm("ledger.read", faults.Injection{Err: errors.New("EIO"), Count: 1})
+	if _, ok := l2.Get("c", 0); ok {
+		t.Fatal("record served through a failed read")
+	}
+	disarm()
+	if l2.Quarantined() != 0 || recdir.QuarantineCount(dir) != 0 || l2.Len() != 1 {
+		t.Fatalf("read error quarantined %d / on disk %d, len %d; want 0, 0, 1", l2.Quarantined(), recdir.QuarantineCount(dir), l2.Len())
+	}
+	if got, ok := l2.Get("c", 0); !ok || !got.Equal(fakeResult(0)) {
+		t.Fatalf("second Get after the fault cleared: ok=%v", ok)
 	}
 }

@@ -116,7 +116,7 @@ func TestCorruptRecordIsDroppedNotServed(t *testing.T) {
 	if err := l.Put("c", 0, fakeResult(0)); err != nil {
 		t.Fatal(err)
 	}
-	path := l.path(stem("c", 0))
+	path := l.disk.File(stem("c", 0))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -14,7 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/jobs"
-	"repro/internal/quarantine"
+	"repro/internal/recdir"
 	"repro/internal/report"
 )
 
@@ -108,6 +110,45 @@ func newFleetHarness(t *testing.T, opts Options) *fleetHarness {
 		s.Close()
 	})
 	return &fleetHarness{s: s, srv: srv}
+}
+
+// TestRejectedUploadStaysInFleetDir: a complete upload whose unit id
+// climbs out of the ledger ("..%2F" in the path) and whose body is not a
+// record is refused with 400 and preserved under <ledger>/fleet/
+// quarantine/ — it must not write the caller's bytes, or a reason
+// sidecar, anywhere else.
+func TestRejectedUploadStaysInFleetDir(t *testing.T) {
+	root := t.TempDir()
+	ledgerDir := filepath.Join(root, "a", "b", "ledger")
+	h := newFleetHarness(t, Options{Populations: experiments.NewPopulations(0), LedgerDir: ledgerDir})
+	resp, err := h.srv.Client().Post(h.srv.URL+"/v1/work/..%2F..%2F..%2Fescaped/complete?worker=w",
+		"application/octet-stream", strings.NewReader("not a replica record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	fleetDir := filepath.Join(ledgerDir, "fleet")
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if !strings.HasPrefix(path, fleetDir+string(filepath.Separator)) {
+			t.Errorf("rejected upload wrote %s outside %s", path, fleetDir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := recdir.QuarantineCount(fleetDir); n != 1 {
+		t.Fatalf("quarantined payloads = %d, want 1", n)
+	}
+	if reason := recdir.QuarantineReason(fleetDir, "upload-1.bin"); !strings.Contains(reason, "../../../escaped") {
+		t.Fatalf("reason = %q, want it to name the unit", reason)
+	}
 }
 
 // pollDone polls one job to a terminal state and requires done.
@@ -207,7 +248,7 @@ func TestFleetGridBitIdentical(t *testing.T) {
 	if stats.Fleet.RejectedUploads != 1 {
 		t.Fatalf("rejected uploads = %d, want 1 (the torn attempt)", stats.Fleet.RejectedUploads)
 	}
-	if n := quarantine.Count(filepath.Join(ledgerDir, "fleet")); n != 1 {
+	if n := recdir.QuarantineCount(filepath.Join(ledgerDir, "fleet")); n != 1 {
 		t.Fatalf("quarantined payloads = %d, want 1", n)
 	}
 	if stats.Ledger.Replicas != 3 || stats.Ledger.Misses < 3 {

@@ -12,7 +12,7 @@
 //	nnrand workloads
 //	nnrand grid   [-spec FILE | -tasks T,... -devices D,...] [flags]
 //	nnrand serve  [-addr :8080] [-cache N] [-store DIR] [-ledger DIR] [-jobs N] [-queue N]
-//	              [-resume] [-retries N] [-job-timeout DUR] [-drain DUR] [-fleet] [-lease-ttl DUR]
+//	              [-resume] [-job-timeout DUR] [-drain DUR] [-fleet] [-lease-ttl DUR]
 //	              [-max-train-epochs N] [-rate N] [-burst N] [-request-log FILE]
 //	nnrand worker [-join URL] [-workers N] [-name NAME] [-batch N] [-intra-gemm N]
 //	nnrand loadtest [-addr URL] [-clients 1,4,16] [-duration DUR | -requests N]
@@ -492,8 +492,7 @@ func serveCmd(args []string) error {
 	jobWorkers := fs.Int("jobs", 0, "concurrent jobs (0 = jobs-package default)")
 	queue := fs.Int("queue", 0, "submitted-job backlog bound (0 = jobs-package default)")
 	resume := fs.Bool("resume", false, "resubmit the jobs journaled as unfinished by the previous process (needs -store)")
-	retries := fs.Int("retries", 0, "transient-failure retries per job (0 = default, negative = never)")
-	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock watchdog per job attempt (0 = none)")
+	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock watchdog per job (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight jobs before cancelling them")
 	fleetMode := fs.Bool("fleet", false, "coordinate a worker fleet: replica training is leased to `nnrand worker` processes instead of running in-process")
 	leaseTTL := fs.Duration("lease-ttl", 0, "fleet lease time-to-live (0 = fleet default); expired leases are stolen by surviving workers")
@@ -531,7 +530,6 @@ func serveCmd(args []string) error {
 		Workers:        *jobWorkers,
 		QueueDepth:     *queue,
 		Resume:         *resume,
-		Retries:        *retries,
 		JobTimeout:     *jobTimeout,
 		Fleet:          *fleetMode,
 		LeaseTTL:       *leaseTTL,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -442,4 +443,38 @@ func TestLabelOnlySweepCollapses(t *testing.T) {
 	if labeled.ID() != plain.ID() {
 		t.Fatalf("label-only sweep re-keyed the grid: %s vs %s", labeled.ID(), plain.ID())
 	}
+}
+
+// FuzzCompileSpec: for any bytes, parsing and compiling a grid spec never
+// panics, and a spec that compiles is a fixed point — the JSON of its
+// canonical plan.Spec re-parses and re-compiles to the same ID, cell
+// count and replica override. That is what lets `serve -resume` rebuild
+// a journaled grid under its original result key.
+func FuzzCompileSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		spec, err := grid.Parse(b)
+		if err != nil {
+			return
+		}
+		plan, err := CompileSpec(spec)
+		if err != nil {
+			return
+		}
+		canon, err := json.Marshal(plan.Spec)
+		if err != nil {
+			t.Fatalf("marshalling compiled spec: %v", err)
+		}
+		spec2, err := grid.Parse(canon)
+		if err != nil {
+			t.Fatalf("compiled spec %s does not re-parse: %v", canon, err)
+		}
+		plan2, err := CompileSpec(spec2)
+		if err != nil {
+			t.Fatalf("compiled spec %s does not re-compile: %v", canon, err)
+		}
+		if plan2.ID() != plan.ID() || plan2.Cells() != plan.Cells() || plan2.Spec.Replicas != plan.Spec.Replicas {
+			t.Fatalf("recompiling %s gives %s/%d cells/r%d, want %s/%d cells/r%d", canon,
+				plan2.ID(), plan2.Cells(), plan2.Spec.Replicas, plan.ID(), plan.Cells(), plan.Spec.Replicas)
+		}
+	})
 }

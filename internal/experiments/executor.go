@@ -99,11 +99,6 @@ func (p *Populations) TrainUnit(ctx context.Context, u WorkUnit) (*core.RunResul
 	return core.RunReplica(ctx, tc, v, u.Replica)
 }
 
-// TrainUnit trains a unit on the shared default cache.
-func TrainUnit(ctx context.Context, u WorkUnit) (*core.RunResult, error) {
-	return defaultPops.TrainUnit(ctx, u)
-}
-
 // resolveUnit turns a wire unit back into an executable training
 // configuration, failing loudly when any name no longer resolves or the
 // resolved recipe does not reproduce the unit's cell key.

@@ -7,10 +7,10 @@
 // payload at byte N — and the site misbehaves exactly as armed.
 //
 // The package is the test backbone for the serving stack's failure
-// model: torn-write recovery, quarantine routing, transient-retry and
-// watchdog behavior in the job engine, and readiness degradation are all
-// exercised by arming these points rather than by mocking whole
-// subsystems.
+// model: torn-write recovery, quarantine routing, panic and watchdog
+// behavior in the job engine, fleet worker backoff, and readiness
+// degradation are all exercised by arming these points rather than by
+// mocking whole subsystems.
 //
 // Disarmed cost: Fire and FireWrite first read one atomic counter and
 // return immediately when nothing is armed anywhere, so instrumented
@@ -70,6 +70,9 @@ type point struct {
 var (
 	mu     sync.Mutex
 	points = map[string]*point{}
+	// spent keeps the final fired count of points their Count disarmed,
+	// so Fired still reports it.
+	spent = map[string]int{}
 	// armed counts registered points; the zero check is the fast path
 	// every Fire call takes in production.
 	armed atomic.Int32
@@ -84,6 +87,7 @@ func Arm(name string, inj Injection) (disarm func()) {
 		armed.Add(1)
 	}
 	points[name] = &point{inj: inj}
+	delete(spent, name)
 	mu.Unlock()
 	return func() { Disarm(name) }
 }
@@ -95,6 +99,7 @@ func Disarm(name string) {
 		delete(points, name)
 		armed.Add(-1)
 	}
+	delete(spent, name)
 	mu.Unlock()
 }
 
@@ -103,18 +108,20 @@ func Reset() {
 	mu.Lock()
 	armed.Add(-int32(len(points)))
 	points = map[string]*point{}
+	spent = map[string]int{}
 	mu.Unlock()
 }
 
 // Fired reports how many times the point named has fired since it was
-// armed (0 when not armed).
+// armed, including a point its Count has since disarmed (0 when not
+// armed).
 func Fired(name string) int {
 	mu.Lock()
 	defer mu.Unlock()
 	if p, ok := points[name]; ok {
 		return p.fired
 	}
-	return 0
+	return spent[name]
 }
 
 // Fire is the generic fault point: it returns nil instantly when nothing
@@ -155,6 +162,7 @@ func fire(name string, data []byte) ([]byte, error) {
 	p.fired++
 	if inj.Count > 0 && p.fired >= inj.Count {
 		delete(points, name)
+		spent[name] = p.fired
 		armed.Add(-1)
 	}
 	mu.Unlock()

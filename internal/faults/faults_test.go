@@ -71,6 +71,26 @@ func TestAfterAndCount(t *testing.T) {
 	}
 }
 
+// TestFiredCountsSpentPoint: a point its Count disarmed still reports
+// how often it fired, until it is re-armed, disarmed or Reset.
+func TestFiredCountsSpentPoint(t *testing.T) {
+	defer Reset()
+	Arm("p", Injection{Count: 3})
+	for i := 0; i < 5; i++ {
+		_ = Fire("p")
+	}
+	if got := Fired("p"); got != 3 {
+		t.Fatalf("Fired = %d, want 3", got)
+	}
+	if armed.Load() != 0 {
+		t.Fatalf("armed counter = %d after Count ran out", armed.Load())
+	}
+	Disarm("p")
+	if got := Fired("p"); got != 0 {
+		t.Fatalf("Fired after Disarm = %d, want 0", got)
+	}
+}
+
 func TestPanicInjection(t *testing.T) {
 	defer Arm("p", Injection{Panic: "kaboom"})()
 	defer func() {

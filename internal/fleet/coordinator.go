@@ -16,7 +16,7 @@
 //     (CRC-verified on arrival); a record that fails verification is
 //     preserved for diagnosis and rejected, never merged.
 //   - The Worker (see worker.go) is a pull → train → upload loop around
-//     experiments.TrainUnit, which resolves units against the worker's
+//     Populations.TrainUnit, which resolves units against the worker's
 //     own catalogs and refuses units whose cell key it cannot reproduce.
 //
 // The single merge point is unchanged from single-node operation: a

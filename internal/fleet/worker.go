@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/url"
 	"os"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/jobs"
 )
 
 // DefaultLeaseWait is how long a worker's lease request long-polls an
@@ -26,9 +26,11 @@ import (
 const DefaultLeaseWait = 15 * time.Second
 
 // defaultBackoff is the base reconnect/re-upload backoff when Options
-// does not set one (doubled per attempt with jitter — see
-// jobs.SleepBackoff).
+// does not set one (doubled per attempt with jitter — see sleepBackoff).
 const defaultBackoff = 200 * time.Millisecond
+
+// maxBackoff caps the exponential growth of reconnect/re-upload delays.
+const maxBackoff = 5 * time.Second
 
 // uploadAttempts bounds complete-upload retries per unit. Past it the
 // worker drops the unit; the lease expires and another worker (or this
@@ -39,10 +41,10 @@ const uploadAttempts = 6
 // Worker is the fleet's training client: a pull → train → upload loop
 // against a coordinator's work endpoints. Each of Trainers goroutines
 // independently leases up to Batch units, trains them with
-// experiments.TrainUnit (bit-identical to coordinator-local training),
+// Populations.TrainUnit (bit-identical to coordinator-local training),
 // heartbeats every held lease at TTL/3, and uploads results as
-// checkpoint-codec records. Transport failures back off with the job
-// engine's capped-jittered policy and never kill the loop; the faults
+// checkpoint-codec records. Transport failures back off (capped,
+// jittered — see sleepBackoff) and never kill the loop; the faults
 // points "fleet.lease" (fail the pull) and "fleet.complete" (corrupt
 // the upload bytes) exist for chaos tests.
 //
@@ -132,7 +134,7 @@ func (w *Worker) loop(ctx context.Context) {
 		if err := faults.Fire("fleet.lease"); err != nil {
 			w.logf("lease: %v", err)
 			attempt++
-			if !jobs.SleepBackoff(ctx, w.Backoff, attempt-1) {
+			if !sleepBackoff(ctx, w.Backoff, attempt-1) {
 				return
 			}
 			continue
@@ -144,7 +146,7 @@ func (w *Worker) loop(ctx context.Context) {
 			}
 			w.logf("lease: %v", err)
 			attempt++
-			if !jobs.SleepBackoff(ctx, w.Backoff, attempt-1) {
+			if !sleepBackoff(ctx, w.Backoff, attempt-1) {
 				return
 			}
 			continue
@@ -238,11 +240,29 @@ func (w *Worker) upload(ctx context.Context, lu Leased, res *core.RunResult) {
 			}
 		}
 		w.logf("upload %s: %v", lu.ID, err)
-		if !jobs.SleepBackoff(ctx, w.Backoff, attempt) {
+		if !sleepBackoff(ctx, w.Backoff, attempt) {
 			return
 		}
 	}
 	w.logf("upload %s: giving up; lease will expire and the unit will be re-trained", lu.ID)
+}
+
+// sleepBackoff waits out the attempt'th retry delay: base doubled per
+// attempt, capped at maxBackoff, with ±25% jitter so a fleet of workers
+// reconnecting to a restarted coordinator decorrelates. It returns false
+// if ctx ended first.
+func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
+	d := base << attempt
+	if d > maxBackoff || d <= 0 { // <= 0: shift overflow
+		d = maxBackoff
+	}
+	jitter := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
+	select {
+	case <-time.After(d + jitter):
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // lease pulls up to Batch units, long-polling an empty queue.

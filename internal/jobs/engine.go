@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -60,38 +59,9 @@ const (
 type Error struct {
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
-	// Transient reports that the failure was classified as retryable (an
-	// injected I/O hiccup, a full queue downstream) and the retry budget
-	// was exhausted — the submission is worth repeating as-is.
-	Transient bool `json:"transient,omitempty"`
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("job %s: %s", e.Kind, e.Message) }
-
-// transientError tags an error as retryable. It is created by Transient
-// and detected (anywhere in a wrap chain) by IsTransient.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// Transient marks err as a transient failure: the engine retries the
-// attempt (with capped exponential backoff) instead of failing the job
-// outright. Runners wrap errors they know to be retryable — flaky I/O,
-// contended resources — while everything unmarked fails fast.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (anywhere in its wrap chain) was
-// marked with Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
 
 // panicError carries a recovered runner panic through the error path so
 // finish can classify it as ErrKindPanic.
@@ -99,8 +69,8 @@ type panicError struct{ val any }
 
 func (p *panicError) Error() string { return fmt.Sprintf("runner panicked: %v", p.val) }
 
-// timeoutError marks an attempt stopped by the watchdog rather than by
-// the caller.
+// timeoutError marks a run stopped by the watchdog rather than by the
+// caller.
 type timeoutError struct{ after time.Duration }
 
 func (t *timeoutError) Error() string {
@@ -129,11 +99,9 @@ type Snapshot struct {
 	Config     report.ConfigEcho `json:"config"`
 	// Cached reports that the result came from the store (or from a
 	// concurrently completed identical job) without training anything.
-	Cached bool `json:"cached"`
-	// Retries counts transient-failure attempts that were retried.
-	Retries int            `json:"retries,omitempty"`
-	Error   *Error         `json:"error,omitempty"`
-	Result  *report.Result `json:"result,omitempty"`
+	Cached bool           `json:"cached"`
+	Error  *Error         `json:"error,omitempty"`
+	Result *report.Result `json:"result,omitempty"`
 }
 
 // RunFunc executes one experiment. Production engines use
@@ -155,33 +123,20 @@ type Options struct {
 	Store *Store
 	// Run overrides the experiment executor (nil = experiments.Run).
 	Run RunFunc
-	// RetainJobs bounds how many terminal jobs stay addressable by ID
-	// before the oldest are forgotten (0 = DefaultRetainJobs).
-	RetainJobs int
 	// Journal, when set, durably records every non-terminal detached job
 	// so a restarted engine can Recover the work that was still owed.
 	Journal *Journal
-	// Retries bounds how many times a transiently failing attempt is
-	// retried (0 = DefaultRetries; negative = never retry).
-	Retries int
-	// RetryBackoff is the base delay before the first retry; subsequent
-	// retries double it (capped, jittered). 0 = DefaultRetryBackoff.
-	RetryBackoff time.Duration
-	// JobTimeout, when positive, arms a wall-clock watchdog per attempt:
-	// an attempt still running after this long is cancelled and the job
-	// fails with ErrKindTimeout.
+	// JobTimeout, when positive, arms a wall-clock watchdog: a job still
+	// running after this long is cancelled and fails with ErrKindTimeout.
 	JobTimeout time.Duration
 }
 
-// Defaults for Options.
-const (
-	DefaultQueueDepth   = 64
-	DefaultRetainJobs   = 256
-	DefaultRetries      = 2
-	DefaultRetryBackoff = 100 * time.Millisecond
-	// maxRetryBackoff caps the exponential growth of retry delays.
-	maxRetryBackoff = 5 * time.Second
-)
+// DefaultQueueDepth is the backlog bound when Options.QueueDepth is 0.
+const DefaultQueueDepth = 64
+
+// retainJobs bounds how many terminal jobs stay addressable by ID before
+// the oldest are forgotten.
+const retainJobs = 256
 
 // ErrQueueFull is returned by Submit when the backlog is at capacity.
 // (Alias of the scheduler's error so callers need only one import.)
@@ -198,8 +153,6 @@ type Engine struct {
 	store      *Store
 	queue      *sched.Queue
 	journal    *Journal // nil = no durability for in-flight jobs
-	retries    int
-	backoff    time.Duration
 	jobTimeout time.Duration
 
 	mu       sync.Mutex
@@ -223,32 +176,15 @@ func NewEngine(opts Options) *Engine {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
-	retain := opts.RetainJobs
-	if retain <= 0 {
-		retain = DefaultRetainJobs
-	}
-	retries := opts.Retries
-	switch {
-	case retries == 0:
-		retries = DefaultRetries
-	case retries < 0:
-		retries = 0
-	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
 	e := &Engine{
 		run:        opts.Run,
 		store:      opts.Store,
 		queue:      sched.NewQueue(workers, depth),
 		journal:    opts.Journal,
-		retries:    retries,
-		backoff:    backoff,
 		jobTimeout: opts.JobTimeout,
 		jobs:       map[string]*Job{},
 		byKey:      map[string]*Job{},
-		retain:     retain,
+		retain:     retainJobs,
 	}
 	if e.run == nil {
 		e.run = func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
@@ -335,8 +271,10 @@ func (e *Engine) liveLocked() []*Job {
 
 // Resolver rebuilds the runnable for a journaled task entry (KindTask)
 // from its payload — the server's resolver recompiles the grid spec the
-// payload carries. Returning an error leaves the entry in the journal
-// (a resolver bug must not silently discard owed work).
+// payload carries, and must refuse an entry whose payload does not
+// compute entry.Key (the job's result is stored under that key).
+// Returning an error leaves the entry in the journal (a resolver bug
+// must not silently discard owed work).
 type Resolver func(entry JournalEntry) (func(context.Context) (*report.Result, error), error)
 
 // Recover resubmits every journaled job through the normal submission
@@ -576,8 +514,8 @@ func (e *Engine) Cancel(id string) (*Job, bool) {
 	return j, true
 }
 
-// execute runs one queued job on an engine worker, retrying transient
-// failures with capped exponential backoff.
+// execute runs one queued job on an engine worker. Each job runs once:
+// a failure is final, and resubmitting is the caller's decision.
 func (e *Engine) execute(j *Job) {
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while waiting in the queue
@@ -596,26 +534,14 @@ func (e *Engine) execute(j *Job) {
 		return
 	}
 
-	var res *report.Result
-	var err error
-	for attempt := 0; ; attempt++ {
-		res, err = e.runAttempt(j, ctx)
-		if err == nil || !IsTransient(err) || attempt >= e.retries || ctx.Err() != nil {
-			break
-		}
-		j.noteRetry()
-		if !sleepBackoff(ctx, e.backoff, attempt) {
-			break // job cancelled mid-backoff; finish classifies via ctx
-		}
-	}
+	res, err := e.runAttempt(j, ctx)
 	e.finish(j, res, err, false)
 }
 
-// runAttempt executes one attempt of j's runner: panics become typed
-// errors so the worker goroutine survives, and the optional watchdog
-// bounds the attempt's wall-clock time. The "jobs.run" fault point fires
-// before the runner so tests can inject failures into the execution path
-// itself.
+// runAttempt executes j's runner: panics become typed errors so the
+// worker goroutine survives, and the optional watchdog bounds the run's
+// wall-clock time. The "jobs.run" fault point fires before the runner so
+// tests can inject failures into the execution path itself.
 func (e *Engine) runAttempt(j *Job, ctx context.Context) (res *report.Result, err error) {
 	actx := ctx
 	if e.jobTimeout > 0 {
@@ -638,32 +564,6 @@ func (e *Engine) runAttempt(j *Job, ctx context.Context) (res *report.Result, er
 		return nil, err
 	}
 	return j.runFn(experiments.WithProgress(actx, j.setProgress))
-}
-
-// SleepBackoff waits out the attempt'th retry delay under the engine's
-// retry policy: base doubled per attempt, capped at 5s, with ±25% jitter
-// so retry storms decorrelate. It returns false if ctx ended first. The
-// fleet worker reuses this for its reconnect and re-upload loops so
-// every retrying client in the system backs off the same way.
-func SleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
-	return sleepBackoff(ctx, base, attempt)
-}
-
-// sleepBackoff waits out the attempt'th retry delay: base doubled per
-// attempt, capped, with ±25% jitter so retry storms decorrelate. It
-// returns false if ctx ended first.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
-	d := base << attempt
-	if d > maxRetryBackoff || d <= 0 { // <= 0: shift overflow
-		d = maxRetryBackoff
-	}
-	jitter := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
-	select {
-	case <-time.After(d + jitter):
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // finish publishes a job's outcome: the live-key entry is retired, a
@@ -716,7 +616,7 @@ func (e *Engine) finish(j *Job, res *report.Result, err error, cached bool) {
 		}
 	default:
 		j.state = StateFailed
-		j.err = &Error{Kind: ErrKindFailed, Message: err.Error(), Transient: IsTransient(err)}
+		j.err = &Error{Kind: ErrKindFailed, Message: err.Error()}
 	}
 	preserve := j.preserve
 	j.cancel() // release the context's resources
@@ -759,7 +659,6 @@ type Job struct {
 	waiters  int
 	detached bool
 	cached   bool
-	retries  int
 	// preserve keeps the journal entry through the terminal transition:
 	// set when the cancellation is a shutdown/drain, so the entry survives
 	// as the next process's resume record.
@@ -789,33 +688,12 @@ func (j *Job) Snapshot() Snapshot {
 		Progress:   j.progress,
 		Config:     j.cfg.Echo(),
 		Cached:     j.cached,
-		Retries:    j.retries,
 		Error:      j.err,
 	}
 	if j.state == StateDone {
 		s.Result = j.res
 	}
 	return s
-}
-
-// Wait blocks until the job is terminal or ctx is cancelled (which
-// abandons the wait, not the job) and returns the job's result or typed
-// error.
-func (j *Job) Wait(ctx context.Context) (*report.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return nil, j.err
-	}
-	return j.res, nil
 }
 
 // Release drops one attached waiter (see SubmitAttached). When the last
@@ -849,13 +727,6 @@ func (j *Job) setProgress(done, total int) {
 	if done >= j.progress.Done { // deliveries may race; keep monotone
 		j.progress = Progress{Done: done, Total: total}
 	}
-	j.mu.Unlock()
-}
-
-// noteRetry counts one retried transient failure.
-func (j *Job) noteRetry() {
-	j.mu.Lock()
-	j.retries++
 	j.mu.Unlock()
 }
 

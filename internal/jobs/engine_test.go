@@ -164,8 +164,9 @@ func TestCancelRunningJob(t *testing.T) {
 	if snap.Error == nil || snap.Error.Kind != ErrKindCancelled {
 		t.Fatalf("error = %+v, want kind %q", snap.Error, ErrKindCancelled)
 	}
-	if _, err := j.Wait(context.Background()); err == nil {
-		t.Fatal("Wait on a cancelled job succeeded")
+	<-j.Done()
+	if s := j.Snapshot(); s.Error == nil || s.Result != nil {
+		t.Fatalf("cancelled job snapshot = %+v, want an error and no result", s)
 	}
 	// The key is free again: a new submission starts a fresh job.
 	j2, err := e.Submit("fig1", testConfig())
@@ -406,9 +407,10 @@ func TestEngineCloseCancelsLiveJobs(t *testing.T) {
 // TestJobRetention: terminal jobs beyond the retention bound are
 // forgotten oldest-first, while the newest stay addressable.
 func TestJobRetention(t *testing.T) {
-	e := newTestEngine(t, Options{RetainJobs: 2, Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
+	e := newTestEngine(t, Options{Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
 		return stubResult(id), nil
 	}})
+	e.retain = 2 // production retains retainJobs; shrink it before any submit
 	cfg := testConfig()
 	var ids []string
 	for i := 0; i < 4; i++ {

@@ -74,8 +74,9 @@ func journalEntry(kind, experiment, key string, cfg experiments.Config, payload 
 // terminal state (done, failed, or user-cancelled) — but NOT when a
 // shutdown or drain cancels it, so `serve -resume` after a crash *or* a
 // graceful restart resubmits exactly the work that was still owed.
-// Entries that fail to decode, or whose key is not their file's name,
-// are quarantined, never deleted.
+// Entries that fail to decode, whose key is not their file's name, or
+// (for experiment entries) whose key is not their own request's result
+// key, are quarantined, never deleted.
 //
 // A Journal is safe for concurrent use.
 type Journal struct {
@@ -143,9 +144,10 @@ func (j *Journal) Len() int {
 // Entries returns every decodable journal entry, oldest first (by file
 // modification time), so recovery resubmits in roughly original
 // submission order. Leftover temp files, entries that fail to decode
-// and entries whose key is not their file's name are quarantined and
-// skipped — an entry can only ever name its own file, so recovery's
-// terminal Remove can never reach another one. An entry that cannot be
+// and entries whose key is not their file's name (or, for an experiment
+// entry, not its own request's ResultKey) are quarantined and skipped —
+// recovery's terminal Remove can never reach another entry's file, nor
+// its result land under another request's key. An entry that cannot be
 // read is skipped and left for the next scan.
 func (j *Journal) Entries() ([]JournalEntry, error) {
 	j.mu.Lock()
@@ -165,7 +167,9 @@ func (j *Journal) Entries() ([]JournalEntry, error) {
 }
 
 // decodeEntry parses one journal file into e and checks it names its
-// own file (stem) and a kind.
+// own file (stem) and a kind, and that an experiment entry's key is the
+// result key of its own request. (Task entries are checked by the
+// Resolver, which alone can recompile their payload.)
 func decodeEntry(r io.Reader, stem string, e *JournalEntry) error {
 	if err := decodeJSON(r, e); err != nil {
 		return err
@@ -175,6 +179,15 @@ func decodeEntry(r io.Reader, stem string, e *JournalEntry) error {
 	}
 	if e.Kind == "" {
 		return errors.New("entry has no kind")
+	}
+	if e.Kind == KindExperiment {
+		cfg, err := e.Config()
+		if err != nil {
+			return err
+		}
+		if want := ResultKey(e.Experiment, cfg); e.Key != want {
+			return fmt.Errorf("entry key %q is not its request's result key %q", e.Key, want)
+		}
 	}
 	return nil
 }

@@ -289,61 +289,11 @@ func TestRecoverKeepsUnresolvableEntries(t *testing.T) {
 	}
 }
 
-// TestTransientFailuresRetry: an error marked Transient is retried with
-// backoff up to the budget; success on a later attempt is an ordinary
-// done job that records its retry count.
-func TestTransientFailuresRetry(t *testing.T) {
-	attempts := 0
-	e := newTestEngine(t, Options{Retries: 3, RetryBackoff: time.Millisecond,
-		Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
-			attempts++
-			if attempts < 3 {
-				return nil, Transient(errors.New("flaky I/O"))
-			}
-			return stubResult(id), nil
-		}})
-	j, err := e.Submit("fig1", testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := waitTerminal(t, j)
-	if snap.State != StateDone {
-		t.Fatalf("state = %s (%+v)", snap.State, snap.Error)
-	}
-	if attempts != 3 || snap.Retries != 2 {
-		t.Fatalf("attempts = %d, snapshot retries = %d; want 3 and 2", attempts, snap.Retries)
-	}
-}
-
-// TestTransientBudgetExhausted: when every attempt fails the job fails
-// with the Transient bit set, so clients know resubmitting may work.
-func TestTransientBudgetExhausted(t *testing.T) {
-	attempts := 0
-	e := newTestEngine(t, Options{Retries: 2, RetryBackoff: time.Millisecond,
-		Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
-			attempts++
-			return nil, Transient(errors.New("still flaky"))
-		}})
-	j, err := e.Submit("fig1", testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := waitTerminal(t, j)
-	if snap.State != StateFailed || snap.Error == nil || snap.Error.Kind != ErrKindFailed {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if !snap.Error.Transient {
-		t.Fatal("exhausted transient failure not marked Transient")
-	}
-	if attempts != 3 { // 1 initial + 2 retries
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-}
-
-// TestNonTransientFailsFast: unmarked errors never retry.
+// TestNonTransientFailsFast: a failing runner is called once and its job
+// fails; the engine never retries.
 func TestNonTransientFailsFast(t *testing.T) {
 	attempts := 0
-	e := newTestEngine(t, Options{Retries: 5, RetryBackoff: time.Millisecond,
+	e := newTestEngine(t, Options{
 		Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
 			attempts++
 			return nil, errors.New("deterministic bug")
@@ -353,27 +303,8 @@ func TestNonTransientFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := waitTerminal(t, j)
-	if snap.State != StateFailed || snap.Error.Transient || attempts != 1 {
+	if snap.State != StateFailed || attempts != 1 {
 		t.Fatalf("attempts = %d, snapshot = %+v", attempts, snap)
-	}
-}
-
-// TestNegativeRetriesDisablesRetry: Options.Retries < 0 means even
-// transient failures fail on the first attempt.
-func TestNegativeRetriesDisablesRetry(t *testing.T) {
-	attempts := 0
-	e := newTestEngine(t, Options{Retries: -1,
-		Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
-			attempts++
-			return nil, Transient(errors.New("flaky"))
-		}})
-	j, err := e.Submit("fig1", testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, j)
-	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", attempts)
 	}
 }
 
@@ -584,6 +515,46 @@ func TestJournalQuarantinesForeignKey(t *testing.T) {
 	}
 	if reason := recdir.QuarantineReason(journal.Dir(), "fig2-test-r1-s7.json"); !strings.Contains(reason, `"../fig2-test-r1-s7"`) {
 		t.Fatalf("reason = %q, want it to name the foreign key", reason)
+	}
+}
+
+// TestRecoverRefusesMismatchedExperimentKey: an experiment entry whose
+// key is another request's result key (fig1's request journaled under
+// fig2's key) is quarantined, not recovered — otherwise the store would
+// serve fig1's result to every later fig2 submission at that config.
+func TestRecoverRefusesMismatchedExperimentKey(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := OpenJournal(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := ResultKey("fig2", testConfig())
+	if err := journal.Record(journalEntry(KindExperiment, "fig1", foreign, testConfig(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Options{Journal: journal, Store: store,
+		Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
+			return stubResult(id), nil
+		}})
+	n, _ := e.Recover(nil)
+	for _, j := range e.Jobs() {
+		waitTerminal(t, j)
+	}
+	if n != 0 {
+		t.Fatalf("recovered %d jobs from a mismatched entry", n)
+	}
+	if res, ok := store.Get(foreign); ok {
+		t.Fatalf("store serves %s's result under %s", res.Experiment, foreign)
+	}
+	if journal.Quarantined() != 1 || journal.Len() != 0 {
+		t.Fatalf("quarantined = %d, journaled = %d; want 1 and 0", journal.Quarantined(), journal.Len())
+	}
+	if reason := recdir.QuarantineReason(journal.Dir(), foreign+".json"); !strings.Contains(reason, "fig1-test-r1-s7") {
+		t.Fatalf("reason = %q, want it to name the request's own key", reason)
 	}
 }
 

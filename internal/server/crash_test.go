@@ -6,11 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/grid"
 	"repro/internal/jobs"
 	"repro/internal/report"
 )
@@ -315,5 +319,67 @@ func TestCrashRecoveryResumesGridJob(t *testing.T) {
 	// And the recovery journal directory lives where the docs say it does.
 	if dir := s2.engine.Journal().Dir(); dir != filepath.Join(storeDir, "journal") {
 		t.Fatalf("journal dir = %s", dir)
+	}
+}
+
+// TestRecoverRefusesMismatchedGridKey: a journaled grid entry whose key
+// is not the result key its own spec payload computes is refused by the
+// resolver — it never runs, stays journaled and is reported by
+// RecoveryError — so one grid's result is never stored under another
+// grid's key.
+func TestRecoverRefusesMismatchedGridKey(t *testing.T) {
+	compile := func(body string) *experiments.Plan {
+		spec, err := grid.Parse([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := experiments.CompileSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	own := compile(`{"tasks":["smallcnn-cifar10"],"devices":["V100"],"variants":["IMPL"]}`)
+	other := compile(`{"tasks":["smallcnn-cifar10"],"devices":["TPUv2"],"variants":["IMPL"]}`)
+	cfg := own.Config(experiments.Config{Scale: data.ScaleTest, Replicas: 1, Seed: 11})
+	foreign := jobs.ResultKey(other.ID(), cfg)
+	payload, err := json.Marshal(own.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeDir := t.TempDir()
+	journal, err := jobs.OpenJournal(filepath.Join(storeDir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Record(jobs.JournalEntry{Kind: jobs.KindTask, Experiment: own.ID(), Key: foreign,
+		Scale: cfg.Scale.String(), Replicas: cfg.Replicas, Seed: cfg.Seed, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+
+	var ran atomic.Int64
+	s, err := New(Options{StoreDir: storeDir, Populations: experiments.NewPopulations(0), Resume: true,
+		RunGrid: func(ctx context.Context, plan *experiments.Plan, cfg experiments.Config) (*report.Result, error) {
+			ran.Add(1)
+			return stubResult(plan.ID()), nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	for _, j := range s.engine.Jobs() {
+		<-j.Done()
+	}
+	if s.Recovered() != 0 || s.RecoveryError() == nil || !strings.Contains(s.RecoveryError().Error(), foreign) {
+		t.Fatalf("recovered %d, error %v; want 0 and an error naming %s", s.Recovered(), s.RecoveryError(), foreign)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("mismatched grid entry ran %d times", n)
+	}
+	if _, ok := s.engine.Store().Get(foreign); ok {
+		t.Fatalf("store serves a result under %s", foreign)
+	}
+	if n := journal.Len(); n != 1 {
+		t.Fatalf("journaled entries = %d, want the refused entry kept", n)
 	}
 }

@@ -312,3 +312,43 @@ func TestFleetDeadWorkerStolen(t *testing.T) {
 		t.Fatalf("zombie heartbeat = %q, want the unit reported done or gone", hb.Status)
 	}
 }
+
+// TestWorkerLeaseBackoff drives the fleet worker's backoff loop without
+// training anything: three failed lease pulls (the "fleet.lease" fault
+// point) are backed off and retried, the next pull leases a unit whose
+// cell key cannot resolve, and the worker's failure report reaches the
+// coordinator's waiter.
+func TestWorkerLeaseBackoff(t *testing.T) {
+	faults.Reset()
+	defer faults.Reset()
+	h := newFleetHarness(t, Options{Populations: experiments.NewPopulations(0)})
+	faults.Arm("fleet.lease", faults.Injection{Err: errors.New("coordinator unreachable"), Count: 3})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+	w := &fleet.Worker{Base: h.srv.URL, Name: "w1", Backoff: time.Millisecond,
+		Wait: 100 * time.Millisecond, Pops: experiments.NewPopulations(0)}
+	go func() {
+		defer close(stopped)
+		_ = w.Run(ctx)
+	}()
+
+	unit := experiments.WorkUnit{Cell: "no-such-cell", Task: "smallcnn-cifar10", LR: 0.01, Batch: 32,
+		Epochs: 1, Device: "V100", Variant: "IMPL", Scale: "test", Seed: 7}
+	tctx, tcancel := context.WithTimeout(ctx, 30*time.Second)
+	defer tcancel()
+	_, err := h.s.Fleet().Train(tctx, unit)
+	if err == nil || !strings.Contains(err.Error(), "worker w1 failed") || !strings.Contains(err.Error(), "no-such-cell") {
+		t.Fatalf("Train = %v, want the worker's failure report for the unresolvable unit", err)
+	}
+	if n := faults.Fired("fleet.lease"); n != 3 {
+		t.Fatalf("fleet.lease fired %d times, want 3", n)
+	}
+	if n := w.Trains(); n != 0 {
+		t.Fatalf("worker trained %d replicas, want 0", n)
+	}
+}

@@ -143,11 +143,8 @@ type Options struct {
 	// store. Entries that cannot be resolved stay journaled and are
 	// reported by RecoveryError.
 	Resume bool
-	// Retries bounds transient-failure retries per job (0 = the jobs
-	// package default; negative = never retry).
-	Retries int
-	// JobTimeout, when positive, fails any job attempt still running
-	// after this long with a typed "timeout" error.
+	// JobTimeout, when positive, fails any job still running after this
+	// long with a typed "timeout" error.
 	JobTimeout time.Duration
 	// Fleet turns the server into a distributed-training coordinator:
 	// replica misses queue as fleet work units served over the
@@ -244,7 +241,6 @@ func New(opts Options) (*Server, error) {
 			Store:      store,
 			Run:        opts.Run,
 			Journal:    journal,
-			Retries:    opts.Retries,
 			JobTimeout: opts.JobTimeout,
 		}),
 		pops:           pops,
@@ -341,7 +337,8 @@ func (s *Server) RecoveryError() error { return s.recoverErr }
 // resolveTask is the engine's recovery resolver: a journaled task entry
 // carries the canonical grid spec as its payload, which recompiles into
 // the same plan — and therefore the same result key — it had before the
-// crash.
+// crash. An entry whose payload computes a different key is refused, so
+// one grid's result is never stored under another's key.
 func (s *Server) resolveTask(entry jobs.JournalEntry) (func(context.Context) (*report.Result, error), error) {
 	if len(entry.Payload) == 0 {
 		return nil, fmt.Errorf("no grid spec payload")
@@ -359,6 +356,9 @@ func (s *Server) resolveTask(entry jobs.JournalEntry) (func(context.Context) (*r
 		return nil, err
 	}
 	cfg = plan.Config(cfg)
+	if key := jobs.ResultKey(plan.ID(), cfg); key != entry.Key {
+		return nil, fmt.Errorf("grid spec payload computes result key %q, not the entry's", key)
+	}
 	return func(ctx context.Context) (*report.Result, error) {
 		return s.runGrid(ctx, plan, cfg)
 	}, nil

@@ -142,3 +142,106 @@ store:
 	DECQ R11
 	JNZ  tile
 	RET
+
+// func kern4x16AVX(kc int, a, b *float32, ldb int, c *float32, ldc, pairs int)
+//
+// kern4x8SSE on twice the lanes: for each of pairs 16-column tiles, the
+// 4×16 block of C (two 8-lane halves per row, row r in Y(2r), Y(2r+1))
+// lives in Y0..Y7 for the whole K block. Each k step loads the two B
+// halves into Y8/Y9, broadcasts lane 0 of each row's group of the strip
+// into Y10..Y13 and, per row and half, computes prod = B*a into Y14/Y15
+// and acc = prod + acc. B is the first source of VMULPS and the product
+// the first source of VADDPS, so NaN payloads propagate as in kern4x8SSE.
+// No fused multiply-add: each lane is rounded after the multiply and again
+// after the add, as MULPS/ADDPS do. VZEROUPPER before returning keeps the
+// SSE code that follows free of the AVX-SSE transition penalty.
+// kc >= 1, pairs >= 1.
+TEXT ·kern4x16AVX(SB), NOSPLIT, $0-56
+	MOVQ ldb+24(FP), DX
+	SHLQ $2, DX
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R8
+	SHLQ $2, R8
+	MOVQ b+16(FP), R10 // B at the current tile
+	MOVQ pairs+48(FP), R11
+
+tile16:
+	MOVQ    kc+0(FP), CX
+	MOVQ    a+8(FP), SI
+	MOVQ    R10, BX
+	LEAQ    (DI)(R8*2), R9 // row 2
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS 32(DI)(R8*1), Y3
+	VMOVUPS (R9), Y4
+	VMOVUPS 32(R9), Y5
+	VMOVUPS (R9)(R8*1), Y6
+	VMOVUPS 32(R9)(R8*1), Y7
+
+step16:
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VBROADCASTSS 0(SI), Y10
+	VBROADCASTSS 16(SI), Y11
+	VBROADCASTSS 32(SI), Y12
+	VBROADCASTSS 48(SI), Y13
+	VMULPS       Y10, Y8, Y14
+	VMULPS       Y10, Y9, Y15
+	VADDPS       Y0, Y14, Y0
+	VADDPS       Y1, Y15, Y1
+	VMULPS       Y11, Y8, Y14
+	VMULPS       Y11, Y9, Y15
+	VADDPS       Y2, Y14, Y2
+	VADDPS       Y3, Y15, Y3
+	VMULPS       Y12, Y8, Y14
+	VMULPS       Y12, Y9, Y15
+	VADDPS       Y4, Y14, Y4
+	VADDPS       Y5, Y15, Y5
+	VMULPS       Y13, Y8, Y14
+	VMULPS       Y13, Y9, Y15
+	VADDPS       Y6, Y14, Y6
+	VADDPS       Y7, Y15, Y7
+	ADDQ         $64, SI
+	ADDQ         DX, BX
+	DECQ         CX
+	JNZ          step16
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y4, (R9)
+	VMOVUPS Y5, 32(R9)
+	VMOVUPS Y6, (R9)(R8*1)
+	VMOVUPS Y7, 32(R9)(R8*1)
+	ADDQ    $64, R10
+	ADDQ    $64, DI
+	DECQ    R11
+	JNZ     tile16
+	VZEROUPPER
+	RET
+
+// func cpuAVX() bool
+//
+// Reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS saves
+// the YMM state across context switches: OSXSAVE (CPUID.1:ECX bit 27) and
+// XCR0 bits 1 (SSE) and 2 (AVX) both set.
+TEXT ·cpuAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET

@@ -7,14 +7,28 @@ import (
 	"repro/internal/rng"
 )
 
-// TestKern4x8MatchesScalar pins the register tile against refMulAdd
+// TestKern4x8MatchesScalar pins both register tiles, the 4×16 AVX one
+// (skipped on hosts without AVX) and the 4×8 SSE2 one, against refMulAdd
 // applied element by element in k order: kc from 0 to past panelKC (odd
-// and even), one to three tiles per call, B and C at unaligned offsets
-// with row strides wider than the tiles, and operands with signed zeros,
+// and even), one to five tiles per call (so the AVX path runs paired tiles
+// with and without an SSE2 tail), B and C at unaligned offsets with row
+// strides wider than the tiles, and operands with signed zeros,
 // subnormals, infinities, overflowing products and NaNs. A holds no exact
 // zero (the caller's precondition). Elements of C outside the tiles must
 // keep their bits.
 func TestKern4x8MatchesScalar(t *testing.T) {
+	for _, path := range []struct {
+		name string
+		avx  bool
+	}{{"avx", true}, {"sse2", false}} {
+		t.Run(path.name, func(t *testing.T) {
+			setAVX(t, path.avx)
+			kern4x8MatchesScalar(t)
+		})
+	}
+}
+
+func kern4x8MatchesScalar(t *testing.T) {
 	s := rng.New(31)
 	random := func(int) float32 { return axpyOperand(s) }
 	nonZero := func(int) float32 {
@@ -25,17 +39,44 @@ func TestKern4x8MatchesScalar(t *testing.T) {
 		return v
 	}
 	for kc := 0; kc <= 130; kc++ {
-		checkKern4x8(t, kc, 1+kc%3, nonZero, random, random)
+		checkKern4x8(t, kc, 1+kc%5, nonZero, random, random)
 	}
-	// A NaN accumulator meets a NaN product at every step and lane, on the
-	// odd-kc first step and on the paired steps: each element must come
-	// out with the payload of its last B value.
+	// A NaN accumulator meets a NaN product at every step and lane, and
+	// in the second pass a NaN A meets a NaN B in every multiply, on
+	// paired and single tiles and for odd and even kc: each element must
+	// come out with the payload of its last B value.
 	nan := func(tag uint32) func(int) float32 {
 		return func(i int) float32 { return math.Float32frombits(0x7fc0_0000 | tag<<16 | uint32(i)) }
 	}
-	for kc := 1; kc <= 4; kc++ {
-		checkKern4x8(t, kc, 2, func(int) float32 { return 1.5 }, nan(1), nan(2))
+	for _, aVal := range []func(int) float32{func(int) float32 { return 1.5 }, nan(3)} {
+		for kc := 1; kc <= 4; kc++ {
+			checkKern4x8(t, kc, 3, aVal, nan(1), nan(2))
+		}
 	}
+}
+
+// The GEMM bit-identity tests run on whichever tile the host picks (AVX
+// where it exists); these reruns turn the AVX tile off so AVX hosts check
+// the SSE2 tile through the whole loop nest too.
+
+func TestMatMulRandomizedVsReferenceSSE2(t *testing.T) {
+	setAVX(t, false)
+	TestMatMulRandomizedVsReference(t)
+}
+
+func TestMatMulBitIdenticalToReferenceSSE2(t *testing.T) {
+	setAVX(t, false)
+	TestMatMulBitIdenticalToReference(t)
+}
+
+func TestMatMulTensorCoreFP16ZeroSkipSSE2(t *testing.T) {
+	setAVX(t, false)
+	TestMatMulTensorCoreFP16ZeroSkip(t)
+}
+
+func TestFusedIm2ColGEMMBitIdenticalSSE2(t *testing.T) {
+	setAVX(t, false)
+	TestFusedIm2ColGEMMBitIdentical(t)
 }
 
 // checkKern4x8 runs one kern4x8 call on operands drawn from the given

@@ -111,7 +111,10 @@ func (c Cell) MarshalJSON() ([]byte, error) {
 	return json.Marshal(o)
 }
 
-// UnmarshalJSON restores a cell from its schema-stable object form.
+// UnmarshalJSON restores a cell from its schema-stable object form. It
+// accepts exactly the float forms MarshalJSON writes, so every cell it
+// returns re-encodes to itself: a fixed-point number, or a string only for
+// a non-finite value. No field of the receiver's previous value survives.
 func (c *Cell) UnmarshalJSON(b []byte) error {
 	var o struct {
 		Type  string          `json:"type"`
@@ -121,7 +124,7 @@ func (c *Cell) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &o); err != nil {
 		return err
 	}
-	c.Unit = o.Unit
+	*c = Cell{Unit: o.Unit}
 	switch o.Type {
 	case "float":
 		c.Kind = CellFloat
@@ -132,11 +135,16 @@ func (c *Cell) UnmarshalJSON(b []byte) error {
 				return err
 			}
 			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return fmt.Errorf("report: non-numeric float cell %q", text)
+			if err != nil || !(math.IsInf(f, 0) || math.IsNaN(f)) {
+				return fmt.Errorf("report: float cell %q is not a non-finite value", text)
 			}
 			c.Float = f
 			return nil
+		}
+		if bytes.ContainsAny(o.Value, "eE") {
+			// Precision is read off the fraction digits, which an
+			// exponent would make meaningless.
+			return fmt.Errorf("report: float cell %s is not in fixed-point form", o.Value)
 		}
 		if err := json.Unmarshal(o.Value, &c.Float); err != nil {
 			return err

@@ -199,3 +199,41 @@ func TestNonFiniteFloatCellJSON(t *testing.T) {
 		t.Fatalf("round-tripped cell = %+v", cell)
 	}
 }
+
+// FuzzCellJSON: the result store reads every stored table cell back
+// through Cell.UnmarshalJSON. Whatever bytes a record holds, decoding must
+// never panic, and a cell that decodes must encode and decode again to the
+// same cell: kind, text, integer, precision, unit and float bits (JSON
+// cannot promise the same bytes, so the bytes are not compared).
+func FuzzCellJSON(f *testing.F) {
+	for _, c := range []Cell{
+		Str("ALGO"), Str("σ ≠ \"0\"\n"), Int(-7).WithUnit("%"), Int(math.MaxInt64),
+		Float(61.333333, 2).WithUnit("%"), Float(math.Copysign(0, -1), 1), Float(1e300, 0),
+		Float(math.Inf(1), 2).WithUnit("X"), Float(math.Inf(-1), 0), Float(math.NaN(), 3),
+	} {
+		b, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		// Decode over a dirty cell: nothing of it may survive.
+		c := Cell{Kind: CellInt, Str: "stale", Float: 2.5, Int: 9, Prec: 4, Unit: "stale"}
+		if err := json.Unmarshal(b, &c); err != nil {
+			return
+		}
+		enc, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("decoded %s to %+v, which does not encode: %v", b, c, err)
+		}
+		var back Cell
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("decoded %s to %+v, whose encoding %s does not decode: %v", b, c, enc, err)
+		}
+		if back.Kind != c.Kind || back.Str != c.Str || back.Int != c.Int || back.Prec != c.Prec ||
+			back.Unit != c.Unit || math.Float64bits(back.Float) != math.Float64bits(c.Float) {
+			t.Fatalf("decoded %s to %+v, re-encoded %s decodes to %+v", b, c, enc, back)
+		}
+	})
+}

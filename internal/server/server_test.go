@@ -733,18 +733,30 @@ func TestCatalogEndpoints(t *testing.T) {
 
 // TestGridSubmit drives POST /v1/grid against a stub executor: 202 with
 // estimate on first submission, job pollable to done, 200 cached on
-// resubmission, 400 on specs that do not compile.
+// resubmission, 400 on specs that do not compile. The stub grid blocks
+// until the first POST has answered, so the job cannot finish before the
+// handler snapshots it (which would turn the 202 into a 200).
 func TestGridSubmit(t *testing.T) {
 	var calls atomic.Int64
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseGrid := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseGrid()
 	srv := newTestServer(t, Options{
 		RunGrid: func(ctx context.Context, plan *experiments.Plan, cfg experiments.Config) (*report.Result, error) {
 			calls.Add(1)
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 			return stubResult(plan.ID()), nil
 		},
 	})
 	body := `{"grid":{"tasks":["smallcnn-cifar10"],"devices":["v100","tpuv2"],"variants":["IMPL"]},"scale":"test","replicas":1,"seed":7}`
 	var resp GridResponse
 	raw := postJSON(t, srv, "/v1/grid", body, http.StatusAccepted, &resp)
+	releaseGrid()
 	if resp.GridID == "" || !strings.HasPrefix(resp.GridID, "grid-") {
 		t.Fatalf("grid id = %q: %s", resp.GridID, raw)
 	}

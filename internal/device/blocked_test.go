@@ -58,6 +58,9 @@ func TestMatMulRandomizedVsReference(t *testing.T) {
 			} else {
 				b = sparseMatrix(data.Split("b"), k, n, zeros)
 			}
+			if zeros > 0 {
+				plantSweepSpecials(a, b, transA, transB)
+			}
 
 			devRef := New(cfg, mode, rng.New(seed).Split("hw"))
 			want := refMatMul(devRef, devRef.entropy, a, b, transA, transB)
@@ -105,6 +108,10 @@ func TestFusedIm2ColGEMMBitIdentical(t *testing.T) {
 			copy(xd, src.Data())
 			w := sparseMatrix(s.Split("w"), g.OutC, g.ColRows(), zeros)
 			dyMat := sparseMatrix(s.Split("dy"), g.OutC, g.ColCols(), zeros)
+			if zeros > 0 {
+				plantSweepSpecials(w, nil, false, false)
+				plantSweepSpecials(dyMat, nil, false, false)
+			}
 			fusedMatchesMaterialized(t, gi, g, zeros, x, w, dyMat)
 		}
 	}

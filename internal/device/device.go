@@ -195,8 +195,8 @@ func (d *Device) MatMulIm2Col(w, x *tensor.Tensor, g tensor.ConvGeom) *tensor.Te
 	if w.Rank() != 2 || w.Dim(1) != g.ColRows() {
 		panic(fmt.Sprintf("device: MatMulIm2Col weight must be (OutC, %d), got %v", g.ColRows(), w.Shape()))
 	}
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("device: MatMulIm2Col input must be NCHW, got %v", x.Shape()))
+	if !isImage(x, g) {
+		panic(fmt.Sprintf("device: MatMulIm2Col input must be (%d, %d, %d, %d), got %v", g.Batch, g.InC, g.InH, g.InW, x.Shape()))
 	}
 	d.plan.Load(x, g)
 	out := d.runGEMM(w.Data(), im2colPanel{&d.plan}, w.Dim(0), g.ColRows(), g.ColCols())
@@ -214,13 +214,19 @@ func (d *Device) MatMulIm2ColT(a, x *tensor.Tensor, g tensor.ConvGeom) *tensor.T
 	if a.Rank() != 2 || a.Dim(1) != g.ColCols() {
 		panic(fmt.Sprintf("device: MatMulIm2ColT operand must be (m, %d), got %v", g.ColCols(), a.Shape()))
 	}
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("device: MatMulIm2ColT input must be NCHW, got %v", x.Shape()))
+	if !isImage(x, g) {
+		panic(fmt.Sprintf("device: MatMulIm2ColT input must be (%d, %d, %d, %d), got %v", g.Batch, g.InC, g.InH, g.InW, x.Shape()))
 	}
 	d.plan.Load(x, g)
 	out := d.runGEMM(a.Data(), im2colTPanel{&d.plan}, a.Dim(0), g.ColCols(), g.ColRows())
 	d.plan.Release()
 	return out
+}
+
+// isImage reports whether x is the (Batch, InC, InH, InW) image g
+// convolves.
+func isImage(x *tensor.Tensor, g tensor.ConvGeom) bool {
+	return x.Rank() == 4 && x.Dim(0) == g.Batch && x.Dim(1) == g.InC && x.Dim(2) == g.InH && x.Dim(3) == g.InW
 }
 
 // runGEMM resolves the accumulation-order policy (drawing any scheduler
@@ -463,6 +469,12 @@ func reduceChunkedOrder(xs []float32, chunks int, order []int) float32 {
 // serial: overlapping destinations make row sharding order-unsafe.
 func (d *Device) Col2Im(col *tensor.Tensor, g tensor.ConvGeom, dst *tensor.Tensor) {
 	d.kernels++
+	if col.Rank() != 2 || col.Dim(0) != g.ColRows() || col.Dim(1) != g.ColCols() {
+		panic(fmt.Sprintf("device: Col2Im column matrix must be (%d, %d), got %v", g.ColRows(), g.ColCols(), col.Shape()))
+	}
+	if !isImage(dst, g) {
+		panic(fmt.Sprintf("device: Col2Im destination must be (%d, %d, %d, %d), got %v", g.Batch, g.InC, g.InH, g.InW, dst.Shape()))
+	}
 	order := d.schedOrder(g.ColRows())
 	d.plan.Col2Im(col, g, dst, order)
 }

@@ -196,6 +196,45 @@ func TestCol2ImOrderNoise(t *testing.T) {
 	}
 }
 
+// TestConvKernelsRejectShapeMismatch: every conv kernel indexes its
+// image and column operands through the geometry alone, so an operand of
+// any other shape would be read or written at the wrong pixels. Each
+// kernel must refuse one instead.
+func TestConvKernelsRejectShapeMismatch(t *testing.T) {
+	g := tensor.ConvGeom{Batch: 2, InC: 3, InH: 4, InW: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	w := tensor.New(g.OutC, g.ColRows())
+	dy := tensor.New(g.OutC, g.ColCols())
+	col := tensor.New(g.ColRows(), g.ColCols())
+	img := tensor.New(g.Batch, g.InC, g.InH, g.InW)
+	wide := tensor.New(g.Batch, g.InC, g.InH, g.InW+1) // InW 5 under InW 4
+	for _, tc := range []struct {
+		name string
+		run  func(d *Device)
+	}{
+		{"MatMulIm2Col input", func(d *Device) { d.MatMulIm2Col(w, wide, g) }},
+		{"MatMulIm2Col batch", func(d *Device) { d.MatMulIm2Col(w, tensor.New(g.Batch+1, g.InC, g.InH, g.InW), g) }},
+		{"MatMulIm2ColT input", func(d *Device) { d.MatMulIm2ColT(dy, wide, g) }},
+		{"Col2Im destination", func(d *Device) { d.Col2Im(col, g, wide) }},
+		{"Col2Im column rows", func(d *Device) { d.Col2Im(tensor.New(g.ColRows()+1, g.ColCols()), g, img) }},
+		{"Col2Im column cols", func(d *Device) { d.Col2Im(tensor.New(g.ColRows(), g.ColCols()+1), g, img) }},
+		{"Col2Im column rank", func(d *Device) { d.Col2Im(tensor.New(g.ColRows()*g.ColCols()), g, img) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("shape mismatch did not panic")
+				}
+			}()
+			tc.run(New(V100, Deterministic, nil))
+		})
+	}
+	// The matching shapes still run.
+	d := New(V100, Deterministic, nil)
+	d.MatMulIm2Col(w, img, g)
+	d.MatMulIm2ColT(dy, img, g)
+	d.Col2Im(col, g, img)
+}
+
 func TestReorderChunksScaleWithCores(t *testing.T) {
 	n := 10000
 	if V100.reorderChunks(n) <= P100.reorderChunks(n) {

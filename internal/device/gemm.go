@@ -32,6 +32,10 @@ const (
 	panelNC = 512 // N columns per packed panel
 )
 
+// The axpy sweep stores panel rows in a uint8: this fails to compile if
+// a panel grows past 256 rows.
+const _ = uint8(panelKC - 1)
+
 // panelSource supplies the B operand of a GEMM panel by panel. packPanel
 // writes rows [kLo,kHi) × columns [jLo,jHi) of op(B) into dst, row-major
 // with row stride jHi-jLo. Implementations must write every element (the
@@ -126,9 +130,11 @@ func commitOrder(dst []int, k, chunks int, order []int) []int {
 // panel is packed once per (K block, N tile) and reused across every strip
 // in the shard; each strip's A values are packed in the same sequence
 // order. A strip holding an exact zero (after fp16 rounding), the m%4 rows
-// and the n%8 columns run the per-row axpy sweep, which skips zero
-// multipliers as the reference does; every other strip runs kern4x8, which
-// keeps a 4×8 block of C in registers across the whole K block.
+// and the n%8 columns run the per-row axpy sweep, which gathers the panel
+// rows of each row's nonzero multipliers and then calls axpy once for
+// each, in sequence order (zero multipliers skipped, as the reference
+// does); every other strip runs kern4x8, which keeps a 4×8 block of C in
+// registers across the whole K block.
 func gemmBlocked(g *gemmArgs, rowLo, rowHi int) {
 	kcMax := min(g.k, panelKC)
 	panel := tensor.GetScratch(kcMax * min(g.n, panelNC))
@@ -136,6 +142,9 @@ func gemmBlocked(g *gemmArgs, rowLo, rowHi int) {
 	defer tensor.PutScratch(panel)
 	defer tensor.PutScratch(stripBuf)
 	strip := align16(stripBuf)
+	// The axpy sweep's kept panel rows, as bytes to keep the frame small:
+	// a larger one doubled the stack of SmallCNN's training goroutines.
+	var kept [panelKC]uint8
 	for pb := 0; pb < g.k; pb += panelKC {
 		seq := g.kseq[pb:min(pb+panelKC, g.k)]
 		kc := len(seq)
@@ -172,22 +181,32 @@ func gemmBlocked(g *gemmArgs, rowLo, rowHi int) {
 				for r := 0; r < rows; r++ {
 					arow := g.ad[(i+r)*g.k : (i+r)*g.k+g.k]
 					crow := g.od[(i+r)*g.n+jb+tiled : (i+r)*g.n+jbHi]
+					// Gather the rows of the nonzero multipliers first,
+					// counting them without a jump: the slot is always
+					// written, and the count only moves past it when the
+					// multiplier is != 0, so ±0 is dropped (the reference
+					// kernel skips exact zeros too) and NaN is kept.
+					nz := 0
 					for p, kk := range seq {
-						av := arow[kk]
-						if g.fp16 {
-							av = fp16Round(av)
-						}
-						if av == 0 {
-							// Skipping an exact-zero multiplier is the
-							// reference kernel's behaviour too.
-							continue
-						}
-						axpy(av, panel[p*w+tiled:p*w+w], crow)
+						kept[nz] = uint8(p)
+						nz += nonzero(g.multiplier(arow, kk))
+					}
+					for _, p := range kept[:nz] {
+						row := int(p) * w
+						axpy(g.multiplier(arow, seq[p]), panel[row+tiled:row+w], crow)
 					}
 				}
 			}
 		}
 	}
+}
+
+// multiplier returns arow[kk], rounded to fp16 on Tensor-Core parts.
+func (g *gemmArgs) multiplier(arow []float32, kk int) float32 {
+	if g.fp16 {
+		return fp16Round(arow[kk])
+	}
+	return arow[kk]
 }
 
 // packStrip packs rows [i, i+4) of op(A) at the columns in seq into dst as
@@ -216,6 +235,16 @@ func (g *gemmArgs) packStrip(dst []float32, i int, seq []int) bool {
 		l[12], l[13], l[14], l[15] = v3, v3, v3, v3
 	}
 	return true
+}
+
+// nonzero returns 1 when v != 0 (NaN included) and 0 for ±0, from a
+// SETcc rather than a jump.
+func nonzero(v float32) int {
+	var b int
+	if v != 0 {
+		b = 1
+	}
+	return b
 }
 
 // align16 returns the suffix of s that starts on a 16-byte boundary (s

@@ -102,8 +102,35 @@ func testMatrix(s *rng.Stream, rows, cols int) *tensor.Tensor {
 // zeroDensities are the exact-zero fractions the GEMM reference tests draw
 // operands at. With none, every full A strip runs the register tile; at 1
 // in 8 most 4-row strips hold a zero and run the axpy sweep; at one half
-// the operand looks like a ReLU-gated gradient.
-var zeroDensities = []float64{0, 1.0 / 8, 1.0 / 2}
+// the operand looks like a ReLU-gated gradient; at 3/4 most multipliers a
+// sweep gathers are dropped, and at 1 all of them are.
+var zeroDensities = []float64{0, 1.0 / 8, 1.0 / 2, 3.0 / 4, 1}
+
+// plantSweepSpecials writes a NaN and a -0 multiplier into the last row
+// of op(A) (stored k×m when transA), at k = 0 and k/2. The -0 sends that
+// row's strip to the axpy sweep, which must keep the NaN and drop the -0
+// as an exact zero. With b non-nil, op(B)[k/2][0] becomes +Inf, so a kept
+// -0 would add a second NaN after the first, whose payload wins. Every
+// other NaN in a test GEMM is the planted one, so the result does not
+// depend on which operand an add propagates when two NaNs meet.
+func plantSweepSpecials(a, b *tensor.Tensor, transA, transB bool) {
+	m, k := matDims(a, transA)
+	at := func(kk int) *float32 {
+		if transA {
+			return &a.Data()[kk*m+m-1]
+		}
+		return &a.Data()[(m-1)*k+kk]
+	}
+	*at(k / 2) = float32(math.Copysign(0, -1))
+	*at(0) = math.Float32frombits(0x7fc0_0bad)
+	if b != nil {
+		if _, n := matDims(b, transB); transB {
+			b.Data()[k/2] = float32(math.Inf(1))
+		} else {
+			b.Data()[k/2*n] = float32(math.Inf(1))
+		}
+	}
+}
 
 // sparseMatrix is testMatrix with the given fraction of exact zeros.
 func sparseMatrix(s *rng.Stream, rows, cols int, zeros float64) *tensor.Tensor {
@@ -153,6 +180,9 @@ func TestMatMulBitIdenticalToReference(t *testing.T) {
 								b = sparseMatrix(s.Split("b"), sh.n, sh.k, zeros)
 							} else {
 								b = sparseMatrix(s.Split("b"), sh.k, sh.n, zeros)
+							}
+							if zeros > 0 {
+								plantSweepSpecials(a, b, transA, transB)
 							}
 							// Two devices with identical entropy seeds: one
 							// runs the optimized kernel, the other drives the

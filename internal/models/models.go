@@ -52,7 +52,7 @@ func SmallCNN(cfg SmallCNNConfig) *nn.Sequential {
 			net.Append(nn.NewBatchNorm(fmt.Sprintf("bn%d", i+1), w))
 		}
 		net.Append(nn.NewReLU(fmt.Sprintf("relu%d", i+1)))
-		net.Append(nn.NewMaxPool2D(fmt.Sprintf("pool%d", i+1), 2))
+		net.Append(nn.NewMaxPool2D(fmt.Sprintf("pool%d", i+1)))
 		in = w
 		spatial /= 2
 	}
@@ -85,7 +85,7 @@ func MediumCNN(kernel, classes int) *nn.Sequential {
 			nn.NewReLU(fmt.Sprintf("relu%d", i+1)),
 		)
 		if i%2 == 1 {
-			net.Append(nn.NewMaxPool2D(fmt.Sprintf("pool%d", i/2+1), 2))
+			net.Append(nn.NewMaxPool2D(fmt.Sprintf("pool%d", i/2+1)))
 		}
 		in = w
 	}

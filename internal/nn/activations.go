@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/device"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -22,9 +24,41 @@ func (m *bitmask) grow(n int) {
 	*m = (*m)[:words]
 }
 
-func (m bitmask) set(i int)      { m[i>>6] |= 1 << (uint(i) & 63) }
-func (m bitmask) clear(i int)    { m[i>>6] &^= 1 << (uint(i) & 63) }
-func (m bitmask) get(i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
+// reluForward applies max(0, v) to d in place and records in m which
+// elements it kept. No branch depends on the data: keep is computed from
+// the float's bits u, as the sign bit of uint64(u-1) - 0x7f800000, which
+// is set exactly when 0 < u <= 0x7f800000, i.e. when v > 0 (+Inf
+// included, every NaN excluded). The element becomes u & -keep, so it
+// stays v when kept and becomes +0 otherwise: ±0, negatives and NaNs of
+// either sign all come out +0. Each mask word is built in a register and
+// stored once.
+func reluForward(m *bitmask, d []float32) {
+	m.grow(len(d))
+	for w := range *m {
+		chunk := d[w*64 : min(w*64+64, len(d))]
+		var word uint64
+		for i, v := range chunk {
+			u := math.Float32bits(v)
+			keep := (uint64(u-1) - 0x7f800000) >> 63
+			chunk[i] = math.Float32frombits(u & -uint32(keep))
+			word |= keep << (uint(i) & 63)
+		}
+		(*m)[w] = word
+	}
+}
+
+// reluBackward masks the gradient d with the lanes reluForward kept: each
+// element's bits are ANDed with all ones (kept) or zero (dropped, giving
+// +0).
+func reluBackward(m bitmask, d []float32) {
+	for w, word := range m {
+		chunk := d[w*64 : min(w*64+64, len(d))]
+		for i, g := range chunk {
+			chunk[i] = math.Float32frombits(math.Float32bits(g) & -uint32(word&1))
+			word >>= 1
+		}
+	}
+}
 
 // ReLU applies max(0, x) elementwise. Elementwise ops involve no reductions
 // and are order-insensitive, so they run identically on every device.
@@ -59,16 +93,7 @@ func (r *ReLU) Forward(dev *device.Device, x *tensor.Tensor, train bool) *tensor
 	if !r.inPlace {
 		out = x.Clone()
 	}
-	d := out.Data()
-	r.mask.grow(len(d))
-	for i, v := range d {
-		if v > 0 {
-			r.mask.set(i)
-		} else {
-			r.mask.clear(i)
-			d[i] = 0
-		}
-	}
+	reluForward(&r.mask, out.Data())
 	return out
 }
 
@@ -78,12 +103,7 @@ func (r *ReLU) Backward(dev *device.Device, dy *tensor.Tensor) *tensor.Tensor {
 	if !r.inPlace {
 		dx = dy.Clone()
 	}
-	d := dx.Data()
-	for i := range d {
-		if !r.mask.get(i) {
-			d[i] = 0
-		}
-	}
+	reluBackward(r.mask, dx.Data())
 	return dx
 }
 

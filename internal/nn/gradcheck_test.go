@@ -123,7 +123,7 @@ func TestGradCheckBatchNorm(t *testing.T) {
 func TestGradCheckMaxPool(t *testing.T) {
 	net := NewSequential("pool",
 		NewConv2D("c1", 1, 3, 3, 1, 1),
-		NewMaxPool2D("p1", 2),
+		NewMaxPool2D("p1"),
 		NewFlatten("flat"),
 		NewDense("fc", 3*2*2, 2),
 	)

@@ -80,7 +80,7 @@ func TestReLUForwardBackward(t *testing.T) {
 }
 
 func TestMaxPoolForwardBackward(t *testing.T) {
-	p := NewMaxPool2D("p", 2)
+	p := NewMaxPool2D("p")
 	x := tensor.FromSlice([]float32{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
@@ -295,7 +295,7 @@ func TestFullForwardBackwardBitwiseDeterministic(t *testing.T) {
 			NewConv2D("c1", 3, 8, 3, 1, 1),
 			NewBatchNorm("bn1", 8),
 			NewReLU("r1"),
-			NewMaxPool2D("p1", 2),
+			NewMaxPool2D("p1"),
 			NewFlatten("f"),
 			NewDense("fc", 8*4*4, 10),
 		)

@@ -2,29 +2,24 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/device"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
-// MaxPool2D performs non-overlapping max pooling with a square window.
-// Max is order-insensitive (ties resolve to the first index scanned), so
+// MaxPool2D performs non-overlapping 2×2 max pooling with stride 2. Max
+// is order-insensitive (ties resolve to the first index scanned), so
 // pooling is deterministic on every device.
 type MaxPool2D struct {
 	name      string
-	window    int
 	lastShape []int
 	argmax    []int // flat input index of each output element's max
 }
 
-// NewMaxPool2D builds a max-pooling layer with window size = stride = w.
-func NewMaxPool2D(name string, w int) *MaxPool2D {
-	if w < 1 {
-		panic("nn: MaxPool2D window must be >= 1")
-	}
-	return &MaxPool2D{name: name, window: w}
-}
+// NewMaxPool2D builds a 2×2, stride-2 max-pooling layer.
+func NewMaxPool2D(name string) *MaxPool2D { return &MaxPool2D{name: name} }
 
 // Name implements Layer.
 func (p *MaxPool2D) Name() string { return p.name }
@@ -35,16 +30,18 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 // Init implements Layer.
 func (p *MaxPool2D) Init(*rng.Stream) {}
 
-// Forward implements Layer.
+// Forward implements Layer. Each window is scanned row-major from its
+// first element, which a later one replaces only when strictly greater:
+// ties keep the first index, and a NaN neither replaces nor is replaced.
 func (p *MaxPool2D) Forward(dev *device.Device, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D %s input must be NCHW, got %v", p.name, x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if h%p.window != 0 || w%p.window != 0 {
-		panic(fmt.Sprintf("nn: MaxPool2D %s input %dx%d not divisible by window %d", p.name, h, w, p.window))
+	if h%2 != 0 || w%2 != 0 {
+		panic(fmt.Sprintf("nn: MaxPool2D %s input %dx%d not divisible by window 2", p.name, h, w))
 	}
-	oh, ow := h/p.window, w/p.window
+	oh, ow := h/2, w/2
 	out := dev.Alloc(n, c, oh, ow)
 	p.lastShape = append(p.lastShape[:0], x.Shape()...)
 	if cap(p.argmax) < out.Len() {
@@ -53,27 +50,35 @@ func (p *MaxPool2D) Forward(dev *device.Device, x *tensor.Tensor, train bool) *t
 	p.argmax = p.argmax[:out.Len()]
 
 	xd, od := x.Data(), out.Data()
-	for nc := 0; nc < n*c; nc++ {
-		inBase := nc * h * w
-		outBase := nc * oh * ow
-		for i := 0; i < oh; i++ {
-			for j := 0; j < ow; j++ {
-				bestIdx := inBase + (i*p.window)*w + j*p.window
-				best := xd[bestIdx]
-				for di := 0; di < p.window; di++ {
-					rowBase := inBase + (i*p.window+di)*w + j*p.window
-					for dj := 0; dj < p.window; dj++ {
-						if v := xd[rowBase+dj]; v > best {
-							best, bestIdx = v, rowBase+dj
-						}
-					}
-				}
-				od[outBase+i*ow+j] = best
-				p.argmax[outBase+i*ow+j] = bestIdx
-			}
+	for o := 0; o < len(od); o += ow {
+		base := 2 * (o / ow) * w // first input row of this output row
+		top := xd[base : base+w]
+		bot := xd[base+w : base+2*w]
+		orow := od[o : o+ow]
+		arow := p.argmax[o : o+ow]
+		for j := range orow {
+			i := base + 2*j
+			best, bi := top[2*j], i
+			best, bi = pick(best, bi, top[2*j+1], i+1)
+			best, bi = pick(best, bi, bot[2*j], i+w)
+			best, bi = pick(best, bi, bot[2*j+1], i+w+1)
+			orow[j], arow[j] = best, bi
 		}
 	}
 	return out
+}
+
+// pick returns (v, vi) when v > best and (best, bi) otherwise. The
+// compare only sets an integer mask (no jump), and the mask selects both
+// the value's bits and the index.
+func pick(best float32, bi int, v float32, vi int) (float32, int) {
+	var gt int
+	if v > best {
+		gt = 1
+	}
+	mask := -gt
+	bits := uint32(mask)&math.Float32bits(v) | ^uint32(mask)&math.Float32bits(best)
+	return math.Float32frombits(bits), mask&vi | ^mask&bi
 }
 
 // Backward implements Layer.

@@ -68,16 +68,7 @@ func (r *Residual) Forward(dev *device.Device, x *tensor.Tensor, train bool) *te
 	}
 	main.Add(short)
 	// Final ReLU with mask for backward.
-	d := main.Data()
-	r.mask.grow(len(d))
-	for i, v := range d {
-		if v > 0 {
-			r.mask.set(i)
-		} else {
-			r.mask.clear(i)
-			d[i] = 0
-		}
-	}
+	reluForward(&r.mask, main.Data())
 	return main
 }
 
@@ -87,12 +78,7 @@ func (r *Residual) Backward(dev *device.Device, dy *tensor.Tensor) *tensor.Tenso
 	if !r.inPlace {
 		dsum = dy.Clone()
 	}
-	d := dsum.Data()
-	for i := range d {
-		if !r.mask.get(i) {
-			d[i] = 0
-		}
-	}
+	reluBackward(r.mask, dsum.Data())
 	dxMain := r.body.Backward(dev, dsum)
 	if r.shortcut != nil {
 		dxShort := r.shortcut.Backward(dev, dsum)

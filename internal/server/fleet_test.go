@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -350,5 +351,71 @@ func TestWorkerLeaseBackoff(t *testing.T) {
 	}
 	if n := w.Trains(); n != 0 {
 		t.Fatalf("worker trained %d replicas, want 0", n)
+	}
+}
+
+// FuzzFleetRequests: the coordinator decodes every lease, heartbeat and
+// failure report a worker sends through decodeBody. Whatever bytes a body
+// holds, decoding must never panic; a body it accepts must hold no field
+// the request type lacks, and the decoded request must encode and decode
+// again to an equal request (JSON cannot promise the same bytes, so the
+// bytes are not compared). Bodies over maxBodyBytes are refused.
+func FuzzFleetRequests(f *testing.F) {
+	lease, err := json.Marshal(fleet.LeaseRequest{Worker: "wa", Max: 4, WaitMS: 2000, Trains: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := decodeBody(bytes.NewReader(append(lease, bytes.Repeat([]byte(" "), maxBodyBytes-len(lease))...)), new(fleet.LeaseRequest)); err != nil {
+		f.Fatalf("body of exactly maxBodyBytes refused: %v", err)
+	}
+	if err := decodeBody(bytes.NewReader(append(lease, bytes.Repeat([]byte(" "), maxBodyBytes+1-len(lease))...)), new(fleet.LeaseRequest)); err == nil {
+		f.Fatal("body over maxBodyBytes accepted")
+	}
+	for _, v := range []any{
+		fleet.LeaseRequest{Worker: "wa", Max: 4, WaitMS: 2000, Trains: 3},
+		fleet.HeartbeatRequest{Worker: "wb", Trains: 1},
+		fleet.FailRequest{Worker: "wc", Error: "train: σ \"diverged\"\n"},
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fleetRoundTrip[fleet.LeaseRequest](t, b)
+		fleetRoundTrip[fleet.HeartbeatRequest](t, b)
+		fleetRoundTrip[fleet.FailRequest](t, b)
+	})
+}
+
+// fleetRoundTrip runs FuzzFleetRequests' checks for one request type.
+func fleetRoundTrip[T comparable](t *testing.T, b []byte) {
+	t.Helper()
+	var v T
+	if err := decodeBody(bytes.NewReader(b), &v); err != nil {
+		return
+	}
+	// The same object with one more field must be refused.
+	if i := bytes.IndexByte(b, '{'); i >= 0 && len(bytes.TrimSpace(b[:i])) == 0 {
+		rest := bytes.TrimSpace(b[i+1:])
+		extra := append([]byte(`{"x_unknown":0`), b[i+1:]...)
+		if len(rest) > 0 && rest[0] != '}' {
+			extra = append([]byte(`{"x_unknown":0,`), b[i+1:]...)
+		}
+		if err := decodeBody(bytes.NewReader(extra), new(T)); err == nil {
+			t.Fatalf("%T accepted %q with an unknown field", v, extra)
+		}
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("decoded %q to %+v, which does not encode: %v", b, v, err)
+	}
+	var back T
+	if err := decodeBody(bytes.NewReader(enc), &back); err != nil {
+		t.Fatalf("decoded %q to %+v, whose encoding %s does not decode: %v", b, v, enc, err)
+	}
+	if back != v {
+		t.Fatalf("decoded %q to %+v, re-encoded %s decodes to %+v", b, v, enc, back)
 	}
 }

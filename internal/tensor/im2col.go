@@ -191,7 +191,8 @@ func (p *Im2ColPlan) Panel(rLo, rHi, jLo, jHi int, dst []float32) {
 	colOff := p.colOff[jLo:jHi]
 	for r := rLo; r < rHi; r++ {
 		src := p.src[p.rowOff[r]:]
-		drow := dst[(r-rLo)*w : (r-rLo)*w+w]
+		// Same length as colOff; saying so drops drow's bounds check.
+		drow := dst[(r-rLo)*w : (r-rLo)*w+w][:len(colOff)]
 		for i, off := range colOff {
 			drow[i] = src[off]
 		}
@@ -207,7 +208,7 @@ func (p *Im2ColPlan) PanelT(jLo, jHi, rLo, rHi int, dst []float32) {
 	rowOff := p.rowOff[rLo:rHi]
 	for j := jLo; j < jHi; j++ {
 		src := p.src[p.colOff[j]:]
-		drow := dst[(j-jLo)*w : (j-jLo)*w+w]
+		drow := dst[(j-jLo)*w : (j-jLo)*w+w][:len(rowOff)]
 		for i, off := range rowOff {
 			drow[i] = src[off]
 		}
@@ -228,15 +229,16 @@ func (p *Im2ColPlan) Col2Im(col *Tensor, g ConvGeom, dst *Tensor, rowOrder []int
 		acc = p.pad(acc)
 	}
 	cd := col.Data()
-	cols := len(p.colOff)
+	colOff := p.colOff
+	cols := len(colOff)
 	for ri := range p.rowOff {
 		r := ri
 		if rowOrder != nil {
 			r = rowOrder[ri]
 		}
 		a := acc[p.rowOff[r]:]
-		crow := cd[r*cols : r*cols+cols]
-		for j, off := range p.colOff {
+		crow := cd[r*cols : r*cols+cols][:len(colOff)]
+		for j, off := range colOff {
 			a[off] += crow[j]
 		}
 	}

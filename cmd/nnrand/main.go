@@ -14,7 +14,7 @@
 //	nnrand serve  [-addr :8080] [-cache N] [-store DIR] [-ledger DIR] [-jobs N] [-queue N]
 //	              [-resume] [-job-timeout DUR] [-drain DUR] [-fleet] [-lease-ttl DUR]
 //	              [-max-train-epochs N] [-rate N] [-burst N] [-request-log FILE]
-//	nnrand worker [-join URL] [-workers N] [-name NAME] [-batch N] [-intra-gemm N]
+//	nnrand worker [-join URL] [-workers N] [-name NAME] [-batch N]
 //	nnrand loadtest [-addr URL] [-clients 1,4,16] [-duration DUR | -requests N]
 //	              [-mix G:J:R] [-seed N] [-spec FILE] [-out FILE]
 //	nnrand ledger -dir DIR list
@@ -30,9 +30,6 @@
 //	-replicas N                 replicas per variant (default: scale-dependent)
 //	-seed     N                 base seed for all seed policies
 //	-workers  N                 worker pool size (default: GOMAXPROCS)
-//	-intra-gemm N               intra-kernel sharding threshold in element-ops
-//	                            (0 = default, <0 disables); wall-clock only,
-//	                            outputs are bit-identical at any value
 //	-tsv                        emit tab-separated values instead of tables
 //	-json                       emit a JSON array of typed results
 //
@@ -113,7 +110,6 @@ func run(args []string) error {
 	replicas := fs.Int("replicas", 0, "replicas per variant (0 = scale default)")
 	seed := fs.Uint64("seed", 20220622, "base seed for all seed policies")
 	workers := fs.Int("workers", 0, "worker pool size for replica/grid parallelism (0 = GOMAXPROCS)")
-	intraGEMM := fs.Int64("intra-gemm", 0, "intra-kernel sharding threshold in element-ops (0 = default, <0 disables); purely a wall-clock knob, outputs are bit-identical at any value")
 	tsv := fs.Bool("tsv", false, "emit tab-separated values")
 	jsonOut := fs.Bool("json", false, "emit a JSON array of typed results")
 	fs.Usage = func() {
@@ -159,7 +155,6 @@ func run(args []string) error {
 		return err
 	}
 	sched.SetWorkers(*workers)
-	device.SetIntraOpThreshold(*intraGEMM)
 	cfg := experiments.Config{Scale: scale, Replicas: *replicas, Seed: *seed}
 
 	switch ids[0] {
@@ -679,7 +674,6 @@ func workerCmd(args []string) error {
 	trainers := fs.Int("workers", 0, "concurrent training loops (0 = GOMAXPROCS via the sched default, capped at 4)")
 	name := fs.String("name", "", "worker name reported to the coordinator (default <hostname>-<pid>)")
 	batch := fs.Int("batch", 1, "work units to lease per pull")
-	intraGEMM := fs.Int64("intra-gemm", 0, "intra-kernel sharding threshold in element-ops (0 = default, <0 disables)")
 	quiet := fs.Bool("quiet", false, "suppress per-unit progress lines")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -687,7 +681,6 @@ func workerCmd(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("worker: unexpected argument %q", fs.Arg(0))
 	}
-	device.SetIntraOpThreshold(*intraGEMM)
 	n := *trainers
 	if n <= 0 {
 		if n = sched.Workers(); n > 4 {

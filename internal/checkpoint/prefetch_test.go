@@ -44,8 +44,8 @@ func trainRecord(t *testing.T, v core.Variant, replica int) []byte {
 // TestCheckpointBytesInvariantUnderPrefetch trains one cell with the
 // loader's background batch assembly on and then off and requires the
 // serialized checkpoints to be byte-for-byte identical: the prefetch
-// goroutine, like intra-op parallelism, is a pure wall-clock knob all the
-// way down to the on-disk artifact.
+// goroutine is a pure wall-clock knob all the way down to the on-disk
+// artifact.
 func TestCheckpointBytesInvariantUnderPrefetch(t *testing.T) {
 	encode := func(prefetch bool) []byte {
 		prev := core.SetBatchPrefetch(prefetch)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
@@ -85,6 +86,44 @@ func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Errorf("warm training step allocates %.1f times per step, want 0", avg)
+			}
+		})
+	}
+}
+
+// allocsPerRollover is the heap objects one epoch rollover allocates: the
+// two SplitIndex streams Replica.batches derives and the "shuffle" and
+// "augment" sub-streams Loader.Epoch splits from them.
+const allocsPerRollover = 4
+
+// TestTrainStepAllocsAcrossEpochRollovers extends the zero-alloc gate past
+// epoch boundaries, which its mid-epoch window never crosses: a warm
+// replica trains through three rollovers, and the heap objects it
+// allocates must be exactly allocsPerRollover per rollover. Any new
+// per-step allocation (about eight steps per epoch) or per-epoch
+// allocation fails it; so does removing one of the four without lowering
+// the pin.
+func TestTrainStepAllocsAcrossEpochRollovers(t *testing.T) {
+	const rollovers = 3
+	for _, mode := range []device.Mode{device.Deterministic, device.Default} {
+		t.Run(mode.String(), func(t *testing.T) {
+			h := newTrainStepHarness(mode)
+			// Warm epoch 0 end to end, as the zero-alloc gate does.
+			for !h.step() {
+			}
+			// One goroutine, as testing.AllocsPerRun measures.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for n := 0; n < rollovers; {
+				if h.step() {
+					n++
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if got, want := after.Mallocs-before.Mallocs, uint64(rollovers*allocsPerRollover); got != want {
+				t.Errorf("%d epoch rollovers allocated %d heap objects, want %d (%d per rollover)",
+					rollovers, got, want, allocsPerRollover)
 			}
 		})
 	}

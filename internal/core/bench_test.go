@@ -103,44 +103,6 @@ func variantBenchConfig(ds *data.Dataset) TrainConfig {
 	}
 }
 
-// BenchmarkSingleLargeCellIntraGEMM is the scenario intra-kernel
-// parallelism exists for: ONE replica of the deepest network — no
-// replica-granular parallelism available — with kernel sharding off vs on.
-// On a multi-core host the sharded run should scale toward the worker
-// count; outputs are bit-identical either way
-// (TestRunVariantIntraGEMMBitIdentical).
-func BenchmarkSingleLargeCellIntraGEMM(b *testing.B) {
-	ds := data.CIFAR10Like(data.ScaleTest)
-	tc := TrainConfig{
-		Model:    func() *nn.Sequential { return models.ResNet18(ds.Classes) },
-		Dataset:  ds,
-		Device:   device.V100,
-		Epochs:   1,
-		Batch:    32,
-		Schedule: opt.Constant(0.01),
-		Momentum: 0.9,
-		BaseSeed: 1,
-	}
-	for _, bc := range []struct {
-		name      string
-		threshold int64
-	}{
-		{"serial", -1},
-		{"sharded", 1 << 18},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			device.SetIntraOpThreshold(bc.threshold)
-			defer device.SetIntraOpThreshold(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunReplica(context.Background(), tc, AlgoImpl, i); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkReplicaResNet18 measures a one-epoch ResNet-18 replica, the unit
 // of work behind every population in the figure harnesses.
 func BenchmarkReplicaResNet18(b *testing.B) {

@@ -116,38 +116,6 @@ func TestRunVariantParallelSingleWorker(t *testing.T) {
 	}
 }
 
-// TestRunVariantIntraGEMMBitIdentical is the end-to-end guarantee behind
-// intra-kernel parallelism: with the sharding threshold forced to one
-// element-op (every kernel shards), training at 4 workers must produce
-// byte-identical weights, predictions and losses to a 1-worker run — for a
-// CONTROL run and for a variant whose device draws scheduler entropy.
-func TestRunVariantIntraGEMMBitIdentical(t *testing.T) {
-	ds := data.CIFAR10Like(data.ScaleTest)
-	cfg := parallelTestConfig(ds)
-	cfg.Epochs = 1
-
-	oldWorkers := sched.Workers()
-	device.SetIntraOpThreshold(1)
-	defer func() {
-		device.SetIntraOpThreshold(0)
-		sched.SetWorkers(oldWorkers)
-	}()
-
-	for _, v := range []Variant{Control, AlgoImpl} {
-		sched.SetWorkers(1)
-		want, err := RunReplica(context.Background(), cfg, v, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched.SetWorkers(4)
-		got, err := RunReplica(context.Background(), cfg, v, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRunResultIdentical(t, want, got)
-	}
-}
-
 // TestWeightDecayPlumbed verifies TrainConfig.WeightDecay reaches the
 // optimizer: a decayed run must end with a strictly smaller weight norm
 // than an undecayed run, and zero decay must reproduce the old behaviour.

@@ -97,13 +97,12 @@ func (l *Loader) Epoch(shuffleStream, augStream *rng.Stream) *Epoch {
 		l.order = make([]int, n)
 	}
 	l.order = l.order[:n]
-	for i := range l.order {
-		l.order[i] = i
-	}
 	if shuffleStream != nil {
-		shuffleStream.Split("shuffle").Shuffle(n, func(i, j int) {
-			l.order[i], l.order[j] = l.order[j], l.order[i]
-		})
+		shuffleStream.Split("shuffle").PermInto(l.order, n)
+	} else {
+		for i := range l.order {
+			l.order[i] = i
+		}
 	}
 	var aug *rng.Stream
 	if augStream != nil {

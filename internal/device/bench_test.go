@@ -2,25 +2,11 @@ package device
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/tensor"
 )
-
-// TestMain lets the BENCH harness pin the worker pool from the environment
-// (NNRAND_WORKERS=n) for multi-worker trajectory runs.
-func TestMain(m *testing.M) {
-	if s := os.Getenv("NNRAND_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			sched.SetWorkers(n)
-		}
-	}
-	os.Exit(m.Run())
-}
 
 // Micro-benchmarks for the simulated kernels: the cost of the
 // accumulation-order machinery relative to the plain deterministic path.
@@ -48,31 +34,18 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulLarge is a GEMM above the intra-op threshold (the
-// single-large-cell regime): 192×512 × 512×512 ≈ 50M element-ops. With
-// NNRAND_WORKERS>1 the sharded variant splits rows across the pool.
+// BenchmarkMatMulLarge is a GEMM larger than any training kernel:
+// 192×512 × 512×512 ≈ 50M element-ops.
 func BenchmarkMatMulLarge(b *testing.B) {
 	a := tensor.New(192, 512)
 	c := tensor.New(512, 512)
 	rng.New(1).FillNorm(a.Data(), 0, 1)
 	rng.New(2).FillNorm(c.Data(), 0, 1)
-	for _, bc := range []struct {
-		name      string
-		threshold int64
-	}{
-		{"serial", -1},
-		{"sharded", 1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			SetIntraOpThreshold(bc.threshold)
-			defer SetIntraOpThreshold(0)
-			dev := New(V100, Default, rng.New(3))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dev.MatMul(a, c, false, false)
-			}
-		})
+	dev := New(V100, Default, rng.New(3))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.MatMul(a, c, false, false)
 	}
 }
 

@@ -4,32 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/tensor"
 )
-
-// withIntraParallel runs fn with intra-kernel sharding forced on (threshold
-// 1 element-op) and a multi-worker pool, restoring both afterwards. Tests in
-// this package run sequentially, so mutating the globals is safe.
-func withIntraParallel(t *testing.T, workers int, fn func()) {
-	t.Helper()
-	oldWorkers := sched.Workers()
-	SetIntraOpThreshold(1)
-	sched.SetWorkers(workers)
-	defer func() {
-		SetIntraOpThreshold(0)
-		sched.SetWorkers(oldWorkers)
-	}()
-	fn()
-}
 
 // TestMatMulRandomizedVsReference drives the blocked packed-panel kernel
 // through ~200 random (m, k, n, transA, transB, part, mode, seed) tuples,
 // each at every zero density, and requires byte-identical output to the
-// retained naive reference kernel — first serially, then with intra-kernel
-// row sharding forced on across a 4-worker pool (the CI -race run makes
-// the sharded pass double as a data race check on the
-// disjoint-output-slice argument).
+// retained naive reference kernel.
 func TestMatMulRandomizedVsReference(t *testing.T) {
 	const tuples = 200
 	s := rng.New(42)
@@ -67,17 +48,9 @@ func TestMatMulRandomizedVsReference(t *testing.T) {
 
 			devOpt := New(cfg, mode, rng.New(seed).Split("hw"))
 			if got := devOpt.MatMul(a, b, transA, transB); !tensor.Equal(got, want) {
-				t.Fatalf("tuple %d (%s/%s m=%d k=%d n=%d zeros=%g tA=%v tB=%v): serial blocked kernel diverged (max diff %g)",
+				t.Fatalf("tuple %d (%s/%s m=%d k=%d n=%d zeros=%g tA=%v tB=%v): blocked kernel diverged (max diff %g)",
 					i, cfg.Name, mode, m, k, n, zeros, transA, transB, tensor.MaxAbsDiff(got, want))
 			}
-
-			devPar := New(cfg, mode, rng.New(seed).Split("hw"))
-			withIntraParallel(t, 4, func() {
-				if got := devPar.MatMul(a, b, transA, transB); !tensor.Equal(got, want) {
-					t.Fatalf("tuple %d (%s/%s m=%d k=%d n=%d zeros=%g tA=%v tB=%v): sharded blocked kernel diverged (max diff %g)",
-						i, cfg.Name, mode, m, k, n, zeros, transA, transB, tensor.MaxAbsDiff(got, want))
-				}
-			})
 		}
 	}
 }
@@ -97,7 +70,7 @@ func convGeoms() []tensor.ConvGeom {
 // TestFusedIm2ColGEMMBitIdentical checks that the fused conv GEMMs
 // (MatMulIm2Col, MatMulIm2ColT) are byte-identical to a MatMul over an
 // explicitly materialized column matrix, for every part, mode and zero
-// density, serially and under forced intra-kernel sharding.
+// density.
 func TestFusedIm2ColGEMMBitIdentical(t *testing.T) {
 	for gi, g := range convGeoms() {
 		for _, zeros := range zeroDensities {
@@ -128,124 +101,16 @@ func fusedMatchesMaterialized(t *testing.T, gi int, g tensor.ConvGeom, zeros flo
 			seed := uint64(gi*31 + 5)
 			wantFwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMul(w, col, false, false)
 			wantBwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMul(dyMat, col, false, true)
-
-			check := func(label string) {
-				t.Helper()
-				gotFwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2Col(w, x, g)
-				if !tensor.Equal(gotFwd, wantFwd) {
-					t.Fatalf("geom %d zeros=%g %s/%s %s: MatMulIm2Col diverged from materialized GEMM (max diff %g)",
-						gi, zeros, cfg.Name, mode, label, tensor.MaxAbsDiff(gotFwd, wantFwd))
-				}
-				gotBwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2ColT(dyMat, x, g)
-				if !tensor.Equal(gotBwd, wantBwd) {
-					t.Fatalf("geom %d zeros=%g %s/%s %s: MatMulIm2ColT diverged from materialized GEMM (max diff %g)",
-						gi, zeros, cfg.Name, mode, label, tensor.MaxAbsDiff(gotBwd, wantBwd))
-				}
+			gotFwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2Col(w, x, g)
+			if !tensor.Equal(gotFwd, wantFwd) {
+				t.Fatalf("geom %d zeros=%g %s/%s: MatMulIm2Col diverged from materialized GEMM (max diff %g)",
+					gi, zeros, cfg.Name, mode, tensor.MaxAbsDiff(gotFwd, wantFwd))
 			}
-			check("serial")
-			withIntraParallel(t, 4, func() { check("sharded") })
+			gotBwd := New(cfg, mode, rng.New(seed).Split("hw")).MatMulIm2ColT(dyMat, x, g)
+			if !tensor.Equal(gotBwd, wantBwd) {
+				t.Fatalf("geom %d zeros=%g %s/%s: MatMulIm2ColT diverged from materialized GEMM (max diff %g)",
+					gi, zeros, cfg.Name, mode, tensor.MaxAbsDiff(gotBwd, wantBwd))
+			}
 		}
-	}
-}
-
-// TestSumRowsShardedBitIdentical pins the row-sharded SumRows (with its
-// pre-drawn per-row chunk orders) against the serial kernel on the same
-// entropy seed.
-func TestSumRowsShardedBitIdentical(t *testing.T) {
-	for _, cfg := range []Config{CPU, V100, TPUv2} {
-		for _, mode := range []Mode{Default, Deterministic} {
-			m := testMatrix(rng.New(9).Split("m"), 64, 700)
-			want := New(cfg, mode, rng.New(9).Split("hw")).SumRows(m)
-			devPar := New(cfg, mode, rng.New(9).Split("hw"))
-			withIntraParallel(t, 4, func() {
-				got := devPar.SumRows(m)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s/%s: sharded SumRows[%d] = %v, want %v", cfg.Name, mode, i, got[i], want[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestSumColsShardedBitIdentical does the same for the column-sharded
-// SumCols.
-func TestSumColsShardedBitIdentical(t *testing.T) {
-	for _, cfg := range []Config{CPU, V100, TPUv2} {
-		for _, mode := range []Mode{Default, Deterministic} {
-			m := testMatrix(rng.New(11).Split("m"), 300, 256)
-			want := New(cfg, mode, rng.New(11).Split("hw")).SumCols(m)
-			devPar := New(cfg, mode, rng.New(11).Split("hw"))
-			withIntraParallel(t, 4, func() {
-				got := devPar.SumCols(m)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s/%s: sharded SumCols[%d] = %v, want %v", cfg.Name, mode, i, got[i], want[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestKernelLaunchesInvariantUnderSharding: a kernel launch counts once no
-// matter how many shards execute it, so telemetry and tests that rely on
-// KernelLaunches see identical counts at any worker budget.
-func TestKernelLaunchesInvariantUnderSharding(t *testing.T) {
-	run := func(dev *Device) int64 {
-		s := rng.New(21)
-		a := testMatrix(s.Split("a"), 32, 64)
-		b := testMatrix(s.Split("b"), 64, 48)
-		out := dev.MatMul(a, b, false, false)
-		dev.SumRows(out)
-		dev.SumCols(out)
-		dev.ReduceSum(out.Data())
-		return dev.KernelLaunches()
-	}
-	serial := run(New(V100, Default, rng.New(5).Split("hw")))
-	var sharded int64
-	withIntraParallel(t, 4, func() {
-		sharded = run(New(V100, Default, rng.New(5).Split("hw")))
-	})
-	if serial != sharded {
-		t.Fatalf("KernelLaunches changed under sharding: serial=%d sharded=%d", serial, sharded)
-	}
-	if serial != 4 {
-		t.Fatalf("expected 4 launches, got %d", serial)
-	}
-}
-
-// TestIntraShardsPolicy pins the shard-count policy: below threshold or
-// with a single worker the kernel stays serial; shards never exceed the
-// worker count or give a shard fewer than minRows rows.
-func TestIntraShardsPolicy(t *testing.T) {
-	oldWorkers := sched.Workers()
-	defer sched.SetWorkers(oldWorkers)
-
-	sched.SetWorkers(8)
-	SetIntraOpThreshold(1000)
-	defer SetIntraOpThreshold(0)
-
-	if got := intraShards(100, 999, 4); got != 1 {
-		t.Fatalf("below threshold: shards=%d, want 1", got)
-	}
-	if got := intraShards(100, 1000, 4); got != 8 {
-		t.Fatalf("at threshold, ample rows: shards=%d, want 8", got)
-	}
-	if got := intraShards(9, 1000, 4); got != 2 {
-		t.Fatalf("9 rows, minRows 4: shards=%d, want 2", got)
-	}
-	if got := intraShards(7, 1000, 4); got != 1 {
-		t.Fatalf("7 rows, minRows 4: shards=%d, want 1 (too few rows)", got)
-	}
-	SetIntraOpThreshold(-1)
-	if got := intraShards(100, 1<<40, 4); got != 1 {
-		t.Fatalf("disabled: shards=%d, want 1", got)
-	}
-	SetIntraOpThreshold(0)
-	sched.SetWorkers(1)
-	if got := intraShards(100, 1<<40, 4); got != 1 {
-		t.Fatalf("single worker: shards=%d, want 1", got)
 	}
 }

@@ -27,29 +27,22 @@ func (m Mode) String() string {
 }
 
 // Device executes tensor kernels under a simulated accelerator. It is not
-// safe for concurrent use by multiple callers — training replicas each own
-// a Device — but a single kernel launch may internally shard its output
-// rows across the sched worker pool (see intra.go); all entropy is drawn
-// before dispatch, so sharding never changes an output bit.
+// safe for concurrent use: training replicas each own a Device, and every
+// kernel runs serially on its caller's goroutine.
 type Device struct {
 	cfg     Config
 	mode    Mode
 	entropy *rng.Stream
 	kernels int64 // count of kernel launches, for tests/inspection
 
-	// ws, when set, backs every kernel output tensor (see Alloc). Reused
-	// scheduler-order buffers below make Default-mode entropy draws
-	// allocation-free: permBuf serves the single-order kernels, and
-	// rowOrders/rowOrderData hold SumRowsInto's per-row orders, which must
-	// all be live at once.
-	ws           *tensor.Workspace
-	permBuf      []int
-	rowOrders    [][]int
-	rowOrderData []int
+	// ws, when set, backs every kernel output tensor (see Alloc). The
+	// reused scheduler-order buffer permBuf makes Default-mode entropy
+	// draws allocation-free.
+	ws      *tensor.Workspace
+	permBuf []int
 
 	// kseq holds the current GEMM's commit-ordered k sequence (see
-	// commitOrder), built on the caller's goroutine before dispatch and
-	// read-only to the shards.
+	// commitOrder).
 	kseq []int
 
 	// Reused panel-source boxes. Assigning a value struct to the
@@ -82,9 +75,8 @@ func (d *Device) Config() Config { return d.cfg }
 // Mode returns the execution mode.
 func (d *Device) Mode() Mode { return d.mode }
 
-// KernelLaunches returns the number of kernels executed so far. Fused and
-// intra-parallel kernels count once per launch, exactly like their serial
-// equivalents, so the count is invariant under the worker budget.
+// KernelLaunches returns the number of kernels executed so far. A fused
+// kernel counts once, like any other launch.
 func (d *Device) KernelLaunches() int64 { return d.kernels }
 
 // SetWorkspace attaches an activation workspace: every subsequent kernel
@@ -158,9 +150,9 @@ func growInts(dst []int, n int) []int {
 //
 // Execution is the blocked packed-panel kernel of gemm.go: op(B) is packed
 // one L2-resident panel at a time (a transposed B is transposed during
-// packing, never materialized whole), and large outputs shard their rows
-// across the sched pool. Chunk boundaries and the per-element operation
-// sequence are exactly the reference kernel's (gemm_test.go pins this).
+// packing, never materialized whole). Chunk boundaries and the per-element
+// operation sequence are exactly the reference kernel's (gemm_test.go pins
+// this).
 func (d *Device) MatMul(a, b *tensor.Tensor, transA, transB bool) *tensor.Tensor {
 	d.kernels++
 	am, ak := matDims(a, transA)
@@ -229,12 +221,10 @@ func isImage(x *tensor.Tensor, g tensor.ConvGeom) bool {
 	return x.Rank() == 4 && x.Dim(0) == g.Batch && x.Dim(1) == g.InC && x.Dim(2) == g.InH && x.Dim(3) == g.InW
 }
 
-// runGEMM resolves the accumulation-order policy (drawing any scheduler
-// entropy BEFORE dispatch) into the commit-ordered k sequence, then
-// launches the blocked kernel — serial, or sharded over the pool in whole
-// 4-row strips when m·k·n clears the intra-op threshold. Tensor-Core parts
-// run the deterministic fp16 systolic path and draw no entropy, exactly
-// like the reference kernel.
+// runGEMM resolves the accumulation-order policy into the commit-ordered
+// k sequence, then runs the blocked kernel. Tensor-Core parts run the
+// deterministic fp16 systolic path and draw no entropy, exactly like the
+// reference kernel.
 func (d *Device) runGEMM(ad []float32, src panelSource, m, k, n int) *tensor.Tensor {
 	out := d.AllocZero(m, n)
 	fp16 := d.cfg.TensorCores
@@ -245,22 +235,7 @@ func (d *Device) runGEMM(ad []float32, src panelSource, m, k, n int) *tensor.Ten
 		order = d.schedOrder(chunks)
 	}
 	d.kseq = commitOrder(d.kseq, k, chunks, order)
-	const minRowsPerShard = 4
-	shards := intraShards(m, int64(m)*int64(k)*int64(n), minRowsPerShard)
-	if shards <= 1 {
-		// Serial path with its own args variable: the sharded branch's
-		// closure escapes to the worker pool and drags its captured args to
-		// the heap, so sharing one variable across both branches would
-		// heap-allocate on every kernel call. Small below-threshold GEMMs —
-		// the zero-alloc steady state — stay allocation-free this way.
-		args := gemmArgs{ad: ad, src: src, od: out.Data(), k: k, n: n, kseq: d.kseq, fp16: fp16}
-		gemmBlocked(&args, 0, m)
-		return out
-	}
-	args := gemmArgs{ad: ad, src: src, od: out.Data(), k: k, n: n, kseq: d.kseq, fp16: fp16}
-	// Shard whole strips, so no shard boundary leaves rows to the axpy
-	// sweep that a serial run would have tiled.
-	shardRows(shards, (m+3)/4, func(lo, hi int) { gemmBlocked(&args, 4*lo, min(4*hi, m)) })
+	gemmBlocked(&gemmArgs{ad: ad, src: src, od: out.Data(), m: m, k: k, n: n, kseq: d.kseq, fp16: fp16})
 	return out
 }
 
@@ -303,9 +278,8 @@ func scratchSlice(dst []float32, n int) []float32 {
 func (d *Device) SumRows(m *tensor.Tensor) []float32 { return d.SumRowsInto(m, nil) }
 
 // SumRowsInto is SumRows writing into dst (grown as needed, returned).
-// Rows reduce independently, so large reductions shard rows across the
-// pool; every row's chunk order is drawn before dispatch, in row order, so
-// the entropy stream sees exactly the serial draw sequence.
+// Each row draws its own chunk order, in row order, just before it is
+// reduced.
 func (d *Device) SumRowsInto(m *tensor.Tensor, dst []float32) []float32 {
 	d.kernels++
 	if m.Rank() != 2 {
@@ -317,47 +291,10 @@ func (d *Device) SumRowsInto(m *tensor.Tensor, dst []float32) []float32 {
 	if d.nondeterministic() {
 		chunks = d.cfg.reorderChunks(cols)
 	}
-	var orders [][]int
-	if chunks > 1 {
-		// Every row's order must be live at once (rows shard across the
-		// pool), so they draw into a reused flat buffer rather than the
-		// shared permBuf. Draws happen in row order before dispatch, so the
-		// entropy stream sees exactly the serial sequence.
-		if cap(d.rowOrders) < rows {
-			d.rowOrders = make([][]int, rows)
-		}
-		d.rowOrderData = growInts(d.rowOrderData, rows*chunks)
-		orders = d.rowOrders[:rows]
-		for r := range orders {
-			orders[r] = d.entropy.PermInto(d.rowOrderData[r*chunks:(r+1)*chunks], chunks)
-		}
-	}
 	data := m.Data()
-	const minRowsPerShard = 8
-	shards := intraShards(rows, int64(rows)*int64(cols), minRowsPerShard)
-	if shards <= 1 {
-		// Serial loop inlined rather than shared with the sharded branch: a
-		// closure handed to the worker pool is heap-allocated where the
-		// literal appears, so below-threshold reductions must not evaluate
-		// one. Keeps the steady-state training step allocation-free.
-		for r := 0; r < rows; r++ {
-			var order []int
-			if orders != nil {
-				order = orders[r]
-			}
-			out[r] = reduceChunkedOrder(data[r*cols:(r+1)*cols], chunks, order)
-		}
-		return out
+	for r := 0; r < rows; r++ {
+		out[r] = reduceChunkedOrder(data[r*cols:(r+1)*cols], chunks, d.schedOrder(chunks))
 	}
-	shardRows(shards, rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var order []int
-			if orders != nil {
-				order = orders[r]
-			}
-			out[r] = reduceChunkedOrder(data[r*cols:(r+1)*cols], chunks, order)
-		}
-	})
 	return out
 }
 
@@ -368,9 +305,7 @@ func (d *Device) SumRowsInto(m *tensor.Tensor, dst []float32) []float32 {
 func (d *Device) SumCols(m *tensor.Tensor) []float32 { return d.SumColsInto(m, nil) }
 
 // SumColsInto is SumCols writing into dst (grown as needed, returned).
-// Columns accumulate independently in the same chunk order, so large
-// reductions shard the column range across the pool after the single
-// scheduler draw.
+// Every column accumulates in the same chunk order, drawn once.
 func (d *Device) SumColsInto(m *tensor.Tensor, dst []float32) []float32 {
 	d.kernels++
 	if m.Rank() != 2 {
@@ -387,37 +322,17 @@ func (d *Device) SumColsInto(m *tensor.Tensor, dst []float32) []float32 {
 	}
 	order := d.schedOrder(chunks)
 	data := m.Data()
-	const minColsPerShard = 64
-	shards := intraShards(cols, int64(rows)*int64(cols), minColsPerShard)
-	if shards <= 1 {
-		// Serial loop inlined; see SumRowsInto for why the sharded closure
-		// must not be evaluated on the below-threshold path.
-		for ci := 0; ci < chunks; ci++ {
-			c := ci
-			if order != nil {
-				c = order[ci]
-			}
-			lo := c * rows / chunks
-			hi := (c + 1) * rows / chunks
-			for r := lo; r < hi; r++ {
-				vadd(data[r*cols:r*cols+cols], out)
-			}
+	for ci := 0; ci < chunks; ci++ {
+		c := ci
+		if order != nil {
+			c = order[ci]
 		}
-		return out
+		lo := c * rows / chunks
+		hi := (c + 1) * rows / chunks
+		for r := lo; r < hi; r++ {
+			vadd(data[r*cols:r*cols+cols], out)
+		}
 	}
-	shardRows(shards, cols, func(jLo, jHi int) {
-		for ci := 0; ci < chunks; ci++ {
-			c := ci
-			if order != nil {
-				c = order[ci]
-			}
-			lo := c * rows / chunks
-			hi := (c + 1) * rows / chunks
-			for r := lo; r < hi; r++ {
-				vadd(data[r*cols+jLo:r*cols+jHi], out[jLo:jHi])
-			}
-		}
-	})
 	return out
 }
 
@@ -465,8 +380,7 @@ func reduceChunkedOrder(xs []float32, chunks int, order []int) float32 {
 // (callers that want the plain col2im zero it first). In Default mode the
 // per-kernel-offset scatter order is drawn from the scheduler; overlapping
 // float32 adds then round differently between runs. The scatter goes
-// through the device's im2col plan into a padded accumulator and stays
-// serial: overlapping destinations make row sharding order-unsafe.
+// through the device's im2col plan into a padded accumulator.
 func (d *Device) Col2Im(col *tensor.Tensor, g tensor.ConvGeom, dst *tensor.Tensor) {
 	d.kernels++
 	if col.Rank() != 2 || col.Dim(0) != g.ColRows() || col.Dim(1) != g.ColCols() {
@@ -478,3 +392,9 @@ func (d *Device) Col2Im(col *tensor.Tensor, g tensor.ConvGeom, dst *tensor.Tenso
 	order := d.schedOrder(g.ColRows())
 	d.plan.Col2Im(col, g, dst, order)
 }
+
+// SetIntraOpThreshold has no effect: kernels run serially on their
+// caller's goroutine at every setting. Its only caller is perfbench's
+// kernel probe, and ROADMAP item 4(a) removes that call and this stub
+// together.
+func SetIntraOpThreshold(int64) {}

@@ -6,9 +6,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// GEMM hot path: an L2-aware blocked kernel with packed B panels, a 4×8
-// register-tile micro-kernel, and optional intra-kernel row sharding
-// (intra.go).
+// GEMM hot path: an L2-aware blocked kernel with packed B panels and a
+// 4×8 register-tile micro-kernel, run serially on the caller's goroutine.
 //
 // The accumulation-order semantics of MatMul are the subject of the paper,
 // so every transformation here is restricted to ones that cannot change a
@@ -19,10 +18,10 @@ import (
 // reference kernel's sequence (gemm_test.go pins this for every part in the
 // catalog). The scheduler order is resolved up front into one commit-ordered
 // k sequence, and both operands are packed in that order, so the loop nest
-// only walks the sequence forward: tiling M×N, blocking the sequence and
-// sharding M regroup WHICH LOOP VISITS each (i,j,k) triple, never the order
-// in which one C element sees its partials. Packing rewrites where operand
-// bytes live, never which values multiply.
+// only walks the sequence forward: tiling M×N and blocking the sequence
+// regroup WHICH LOOP VISITS each (i,j,k) triple, never the order in which
+// one C element sees its partials. Packing rewrites where operand bytes
+// live, never which values multiply.
 
 // Panel geometry: one packed B panel is at most panelKC×panelNC float32s
 // (256 KiB), sized to stay L2-resident while the inner kernel sweeps every
@@ -79,8 +78,8 @@ func (p colPanel) packPanel(dst []float32, kLo, kHi, jLo, jHi int) {
 
 // im2colPanel serves the im2col expansion of an NCHW image as the B
 // operand, fusing the expansion with panel packing: the column matrix is
-// never materialized. The plan is loaded (input padded, offsets built) on
-// the caller's goroutine before dispatch; shards only gather from it.
+// never materialized. The plan is loaded (input padded, offsets built)
+// before the kernel runs; packing only gathers from it.
 type im2colPanel struct{ plan *tensor.Im2ColPlan }
 
 func (p im2colPanel) packPanel(dst []float32, kLo, kHi, jLo, jHi int) {
@@ -95,15 +94,14 @@ func (p im2colTPanel) packPanel(dst []float32, kLo, kHi, jLo, jHi int) {
 	p.plan.PanelT(kLo, kHi, jLo, jHi, dst)
 }
 
-// gemmArgs bundles one GEMM's operands and accumulation-order policy so
-// row shards can execute the identical kernel over disjoint row ranges.
+// gemmArgs bundles one GEMM's operands and accumulation-order policy.
 type gemmArgs struct {
-	ad   []float32   // op(A), m×k row-major
-	src  panelSource // op(B), k×n, served panel by panel
-	od   []float32   // C, m×n, zeroed
-	k, n int
-	kseq []int // commit-ordered k indices: a permutation of [0,k)
-	fp16 bool  // Tensor-Core path: round A scalars and B panels to fp16
+	ad      []float32   // op(A), m×k row-major
+	src     panelSource // op(B), k×n, served panel by panel
+	od      []float32   // C, m×n, zeroed
+	m, k, n int
+	kseq    []int // commit-ordered k indices: a permutation of [0,k)
+	fp16    bool  // Tensor-Core path: round A scalars and B panels to fp16
 }
 
 // commitOrder writes the commit-ordered k sequence of a split-K GEMM into
@@ -123,19 +121,18 @@ func commitOrder(dst []int, k, chunks int, order []int) []int {
 	return dst
 }
 
-// gemmBlocked runs the blocked packed-panel kernel over C rows
-// [rowLo,rowHi), packing into private pooled scratch (shards run it
-// concurrently). Loop nest: K block of the commit-ordered sequence → N
-// tile → pack panel once → 4-row A strip → 8-column register tile. The
-// panel is packed once per (K block, N tile) and reused across every strip
-// in the shard; each strip's A values are packed in the same sequence
-// order. A strip holding an exact zero (after fp16 rounding), the m%4 rows
-// and the n%8 columns run the per-row axpy sweep, which gathers the panel
-// rows of each row's nonzero multipliers and then calls axpy once for
-// each, in sequence order (zero multipliers skipped, as the reference
-// does); every other strip runs kern4x8, which keeps a 4×8 block of C in
-// registers across the whole K block.
-func gemmBlocked(g *gemmArgs, rowLo, rowHi int) {
+// gemmBlocked runs the blocked packed-panel kernel, packing into pooled
+// scratch. Loop nest: K block of the commit-ordered sequence → N tile →
+// pack panel once → 4-row A strip → 8-column register tile. The panel is
+// packed once per (K block, N tile) and reused across every strip; each
+// strip's A values are packed in the same sequence order. A strip holding
+// an exact zero (after fp16 rounding), the m%4 rows and the n%8 columns
+// run the per-row axpy sweep, which gathers the panel rows of each row's
+// nonzero multipliers and then calls axpy once for each, in sequence
+// order (zero multipliers skipped, as the reference does); every other
+// strip runs kern4x8, which keeps a 4×8 block of C in registers across
+// the whole K block.
+func gemmBlocked(g *gemmArgs) {
 	kcMax := min(g.k, panelKC)
 	panel := tensor.GetScratch(kcMax * min(g.n, panelNC))
 	stripBuf := tensor.GetScratch(16*kcMax + 3)
@@ -168,8 +165,8 @@ func gemmBlocked(g *gemmArgs, rowLo, rowHi int) {
 				// reference kernel's per-use rounding bit for bit.
 				roundPanel(panel[:kc*w])
 			}
-			for i := rowLo; i < rowHi; i += 4 {
-				rows := min(4, rowHi-i)
+			for i := 0; i < g.m; i += 4 {
+				rows := min(4, g.m-i)
 				tiled := 0
 				if rows == 4 && w >= 8 && g.packStrip(a, i, seq) {
 					tiled = w &^ 7

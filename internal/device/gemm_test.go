@@ -264,6 +264,44 @@ func TestMatMulScratchReuseAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestSumRowsBitIdenticalToReference pins SumRows against a reference
+// that draws every row's chunk order up front, in row order, before any
+// row is reduced: drawing each order just before its row must leave the
+// entropy stream, and so every output bit, unchanged.
+func TestSumRowsBitIdenticalToReference(t *testing.T) {
+	for _, cfg := range []Config{CPU, V100, TPUv2} {
+		for _, mode := range []Mode{Default, Deterministic} {
+			m := testMatrix(rng.New(9).Split("m"), 64, 700)
+			dev := New(cfg, mode, rng.New(9).Split("hw"))
+			got := dev.SumRows(m)
+			after := dev.entropy.Uint64()
+
+			rows, cols := m.Dim(0), m.Dim(1)
+			ref := New(cfg, mode, rng.New(9).Split("hw"))
+			chunks := 1
+			if ref.nondeterministic() {
+				chunks = cfg.reorderChunks(cols)
+			}
+			orders := make([][]int, rows)
+			if chunks > 1 {
+				for r := range orders {
+					orders[r] = ref.entropy.Perm(chunks)
+				}
+			}
+			for r := 0; r < rows; r++ {
+				want := reduceChunkedOrder(m.Data()[r*cols:(r+1)*cols], chunks, orders[r])
+				if math.Float32bits(got[r]) != math.Float32bits(want) {
+					t.Fatalf("%s/%s: SumRows[%d] = %x, want %x", cfg.Name, mode, r,
+						math.Float32bits(got[r]), math.Float32bits(want))
+				}
+			}
+			if want := ref.entropy.Uint64(); after != want {
+				t.Fatalf("%s/%s: entropy stream diverged after SumRows", cfg.Name, mode)
+			}
+		}
+	}
+}
+
 func TestSumColsBitIdenticalToReference(t *testing.T) {
 	for _, cfg := range []Config{CPU, V100, TPUv2} {
 		for _, mode := range []Mode{Default, Deterministic} {

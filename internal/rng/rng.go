@@ -193,25 +193,21 @@ func (s *Stream) Norm() float64 {
 func (s *Stream) Bernoulli(p float64) bool { return s.Float64() < p }
 
 // Perm returns a pseudo-random permutation of [0, n) via Fisher-Yates.
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
+func (s *Stream) Perm(n int) []int { return s.PermInto(make([]int, n), n) }
 
 // PermInto fills dst[:n] with a pseudo-random permutation of [0, n),
-// drawing exactly the stream values Perm(n) would — the allocation-free
-// form for callers that reuse a buffer. dst must have length >= n; the
-// filled prefix is returned.
+// drawing exactly the stream values Shuffle(n, ...) would, and producing
+// the permutation Shuffle would leave behind on the identity. dst must
+// have length >= n; the filled prefix is returned.
 func (s *Stream) PermInto(dst []int, n int) []int {
 	p := dst[:n]
 	for i := range p {
 		p[i] = i
 	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for i := n - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 	return p
 }
 

@@ -172,6 +172,41 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesShuffle pins PermInto's own Fisher–Yates loop
+// against Shuffle applied to the identity: the same permutation, and the
+// same stream state afterwards, for every n in 0…300 over many seeds. A
+// stale dst must not leak into the result.
+func TestPermIntoMatchesShuffle(t *testing.T) {
+	dst := make([]int, 301)
+	for seed := uint64(0); seed < 40; seed++ {
+		for n := 0; n <= 300; n++ {
+			got, ref := New(seed*7919+uint64(n)), New(seed*7919+uint64(n))
+			for i := range dst {
+				dst[i] = -1
+			}
+			p := got.PermInto(dst, n)
+
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+
+			if len(p) != n {
+				t.Fatalf("seed %d n %d: PermInto length %d", seed, n, len(p))
+			}
+			for i := range want {
+				if p[i] != want[i] {
+					t.Fatalf("seed %d n %d: PermInto[%d] = %d, Shuffle gives %d", seed, n, i, p[i], want[i])
+				}
+			}
+			if *got != *ref {
+				t.Fatalf("seed %d n %d: stream state differs after PermInto", seed, n)
+			}
+		}
+	}
+}
+
 func TestPermPropertyBased(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%64) + 1

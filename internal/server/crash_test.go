@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -131,12 +132,24 @@ func TestReadyzDuringDrain(t *testing.T) {
 // TestJobListEndpoint: GET /v1/jobs returns every retained job in
 // submission order with results stripped.
 func TestJobListEndpoint(t *testing.T) {
+	// The stub runs hold until both submissions have answered, so neither
+	// can finish before its handler snapshots it and reply 200.
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
 	srv := newTestServer(t, Options{Run: func(ctx context.Context, id string, cfg experiments.Config) (*report.Result, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return stubResult(id), nil
 	}})
 	var first, second jobs.Snapshot
 	postJSON(t, srv, "/v1/jobs", `{"experiment":"fig1","scale":"test"}`, http.StatusAccepted, &first)
 	postJSON(t, srv, "/v1/jobs", `{"experiment":"fig1","scale":"test","seed":99}`, http.StatusAccepted, &second)
+	free()
 
 	// Wait until both are done so Result-stripping is observable.
 	for _, id := range []string{first.ID, second.ID} {

@@ -354,12 +354,55 @@ func TestWorkerLeaseBackoff(t *testing.T) {
 	}
 }
 
+// TestDecodeBodyRefusesTrailingContent: every handler that reads a JSON
+// body (lease, heartbeat, failure report, grid, submit, run) decodes it
+// through decodeBody, which must refuse anything but whitespace after the
+// first JSON value rather than act on the first request alone.
+func TestDecodeBodyRefusesTrailingContent(t *testing.T) {
+	bodies := []struct {
+		name string
+		body string
+		dst  func() any
+	}{
+		{"lease", `{"worker":"wa","max":2}`, func() any { return new(fleet.LeaseRequest) }},
+		{"heartbeat", `{"worker":"wa","trains":1}`, func() any { return new(fleet.HeartbeatRequest) }},
+		{"fail", `{"worker":"wa","error":"boom"}`, func() any { return new(fleet.FailRequest) }},
+		{"grid", `{"grid":{"tasks":["smallcnn-cifar10"],"devices":["V100"]},"scale":"test"}`, func() any { return new(GridRequest) }},
+		{"submit", `{"experiment":"table2","scale":"test"}`, func() any { return new(SubmitRequest) }},
+		{"run", `{"scale":"test","replicas":2}`, func() any { return new(RunRequest) }},
+	}
+	trailers := []string{
+		` {"worker":"wb","bogus":1} garbage`,
+		` {}`,
+		`{}`,
+		` null`,
+		` 7`,
+		` garbage`,
+		`]`,
+		`}`,
+		"\n[]",
+	}
+	for _, b := range bodies {
+		for _, ws := range []string{"", " ", "\n\t \r\n"} {
+			if err := decodeBody(strings.NewReader(b.body+ws), b.dst()); err != nil {
+				t.Errorf("%s: body with trailing whitespace %q refused: %v", b.name, ws, err)
+			}
+		}
+		for _, tr := range trailers {
+			if err := decodeBody(strings.NewReader(b.body+tr), b.dst()); err == nil {
+				t.Errorf("%s: body followed by %q accepted", b.name, tr)
+			}
+		}
+	}
+}
+
 // FuzzFleetRequests: the coordinator decodes every lease, heartbeat and
 // failure report a worker sends through decodeBody. Whatever bytes a body
 // holds, decoding must never panic; a body it accepts must hold no field
-// the request type lacks, and the decoded request must encode and decode
-// again to an equal request (JSON cannot promise the same bytes, so the
-// bytes are not compared). Bodies over maxBodyBytes are refused.
+// the request type lacks and nothing after its one JSON value, and the
+// decoded request must encode and decode again to an equal request (JSON
+// cannot promise the same bytes, so the bytes are not compared). Bodies
+// over maxBodyBytes are refused.
 func FuzzFleetRequests(f *testing.F) {
 	lease, err := json.Marshal(fleet.LeaseRequest{Worker: "wa", Max: 4, WaitMS: 2000, Trains: 3})
 	if err != nil {
@@ -395,6 +438,11 @@ func fleetRoundTrip[T comparable](t *testing.T, b []byte) {
 	var v T
 	if err := decodeBody(bytes.NewReader(b), &v); err != nil {
 		return
+	}
+	// The same body followed by a second value must be refused. (An empty
+	// body stands for all defaults, so appending to it makes one value.)
+	if err := decodeBody(bytes.NewReader(append(b[:len(b):len(b)], " {}"...)), new(T)); err == nil && len(b) > 0 {
+		t.Fatalf("%T accepted %q followed by a second value", v, b)
 	}
 	// The same object with one more field must be refused.
 	if i := bytes.IndexByte(b, '{'); i >= 0 && len(bytes.TrimSpace(b[:i])) == 0 {

@@ -784,8 +784,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 const maxBodyBytes = 1 << 20
 
 // decodeBody parses a JSON request body into dst, tolerating an empty
-// body (all defaults) and rejecting unknown fields and oversized bodies
-// (with an explicit error, not a confusing mid-document EOF).
+// body (all defaults) and rejecting unknown fields, anything but
+// whitespace after the first JSON value, and oversized bodies (with an
+// explicit error, not a confusing mid-document EOF).
 func decodeBody(body io.Reader, dst any) error {
 	raw, err := io.ReadAll(io.LimitReader(body, maxBodyBytes+1))
 	if err != nil {
@@ -801,6 +802,9 @@ func decodeBody(body io.Reader, dst any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return fmt.Errorf("decoding request body: content after the JSON value")
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/data"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/sched"
 )
 
 // trainStepHarness drives a Replica's own per-batch step one batch at a
@@ -61,18 +63,54 @@ func (h *trainStepHarness) step() bool {
 	return rolled
 }
 
+// allocCases are the alloc gates' subtests: each device mode with every
+// conv's weight-gradient GEMM inline (a worker budget of 1) and on the
+// sched pool helper (a budget of 2, which leaves the helper a token).
+var allocCases = []struct {
+	name    string
+	mode    device.Mode
+	workers int
+}{
+	{"deterministic", device.Deterministic, 1},
+	{"default", device.Default, 1},
+	{"deterministic-helper", device.Deterministic, 2},
+	{"default-helper", device.Default, 2},
+}
+
+// withWorkers sets the sched worker budget for one subtest and returns a
+// check that the measured steps ran the weight-gradient GEMMs where the
+// budget says: on the helper when it holds a token, inline otherwise.
+func withWorkers(t *testing.T, workers int) (check func()) {
+	t.Helper()
+	sched.SetWorkers(workers)
+	t.Cleanup(func() { sched.SetWorkers(0) })
+	before := sched.Handoffs()
+	return func() {
+		t.Helper()
+		n := sched.Handoffs() - before
+		if workers > 1 && n == 0 {
+			t.Error("budget of 2: no weight-gradient GEMM ran on the helper")
+		}
+		if workers == 1 && n != 0 {
+			t.Errorf("budget of 1: %d weight-gradient GEMMs ran on a helper", n)
+		}
+	}
+}
+
 // TestTrainStepZeroAllocSteadyState is the alloc-regression gate: after one
 // warm epoch, a mid-epoch training step of the tiny config must perform
 // ZERO heap allocations — batch assembly, forward, loss, backward and the
 // fused SGD update all run out of reused buffers, the workspace and the
 // scratch pool (DESIGN.md §15). Runs in both device modes so the
-// Default-mode entropy draws are covered too. Prefetch is off so the
-// measurement has no helper goroutine; the byte-identity of prefetch
+// Default-mode entropy draws are covered too, each with the conv
+// weight-gradient GEMMs inline and on the pool helper. Prefetch is off so
+// the measurement has no loader goroutine; the byte-identity of prefetch
 // on/off is pinned separately (data and checkpoint tests).
 func TestTrainStepZeroAllocSteadyState(t *testing.T) {
-	for _, mode := range []device.Mode{device.Deterministic, device.Default} {
-		t.Run(mode.String(), func(t *testing.T) {
-			h := newTrainStepHarness(mode)
+	for _, c := range allocCases {
+		t.Run(c.name, func(t *testing.T) {
+			check := withWorkers(t, c.workers)
+			h := newTrainStepHarness(c.mode)
 			// Warm epoch 0 end to end so every pool, workspace shape and
 			// layer buffer exists (including the partial final batch).
 			for !h.step() {
@@ -87,6 +125,7 @@ func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("warm training step allocates %.1f times per step, want 0", avg)
 			}
+			check()
 		})
 	}
 }
@@ -103,16 +142,29 @@ const allocsPerRollover = 4
 // per-step allocation (about eight steps per epoch) or per-epoch
 // allocation fails it; so does removing one of the four without lowering
 // the pin.
+//
+// The replica warms on one P, as testing.AllocsPerRun warms before it
+// measures: the runtime caches the records (sudogs) a goroutine blocked
+// on a channel uses per P, and a GOMAXPROCS change drops the removed Ps'
+// caches, so the first wait on the helper's join after the change could
+// allocate one. The runtime's own allocations are not the step's, so the
+// window also starts with no memory left for the scavenger to return.
 func TestTrainStepAllocsAcrossEpochRollovers(t *testing.T) {
 	const rollovers = 3
-	for _, mode := range []device.Mode{device.Deterministic, device.Default} {
-		t.Run(mode.String(), func(t *testing.T) {
-			h := newTrainStepHarness(mode)
+	for _, c := range allocCases {
+		t.Run(c.name, func(t *testing.T) {
+			check := withWorkers(t, c.workers)
+			// One goroutine at a time, as testing.AllocsPerRun measures.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			h := newTrainStepHarness(c.mode)
 			// Warm epoch 0 end to end, as the zero-alloc gate does.
 			for !h.step() {
 			}
-			// One goroutine, as testing.AllocsPerRun measures.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			// Return freed memory to the OS now, so that the runtime's
+			// background scavenger has none left to work on in the window:
+			// when it sleeps between work it arms a timer, and the P's timer
+			// heap may grow to take it.
+			debug.FreeOSMemory()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for n := 0; n < rollovers; {
@@ -125,6 +177,7 @@ func TestTrainStepAllocsAcrossEpochRollovers(t *testing.T) {
 				t.Errorf("%d epoch rollovers allocated %d heap objects, want %d (%d per rollover)",
 					rollovers, got, want, allocsPerRollover)
 			}
+			check()
 		})
 	}
 }

@@ -75,16 +75,22 @@ func TestRunReplicaMatchesReferencePath(t *testing.T) {
 			for epoch := 0; epoch < cfg.Epochs; epoch++ {
 				lr := cfg.Schedule.LR(epoch)
 				var epochLoss float64
-				batches := loader.Batches(shuffleS.SplitIndex(epoch), augS.SplitIndex(epoch))
-				for _, b := range batches {
+				// Each batch is cloned out of the loader's buffers, as a
+				// materialized epoch would hold it.
+				ep := loader.Epoch(shuffleS.SplitIndex(epoch), augS.SplitIndex(epoch))
+				var b data.Batch
+				batches := 0
+				for ep.Next(&b) {
+					x, labels := b.X.Clone(), append([]int(nil), b.Labels...)
 					net.ZeroGrad()
-					logits := net.Forward(dev, b.X, true)
-					loss, dlogits := nn.SoftmaxCrossEntropy(dev, logits, b.Labels)
+					logits := net.Forward(dev, x, true)
+					loss, dlogits := nn.SoftmaxCrossEntropy(dev, logits, labels)
 					net.Backward(dev, dlogits)
 					sgd.Step(net.Params(), lr)
 					epochLoss += loss
+					batches++
 				}
-				ref.EpochLoss = append(ref.EpochLoss, epochLoss/float64(len(batches)))
+				ref.EpochLoss = append(ref.EpochLoss, epochLoss/float64(batches))
 			}
 			ref.Predictions = Predict(net, dev, cfg.Dataset, cfg.Dataset.Test, cfg.Batch)
 			ref.Weights = net.WeightVector()

@@ -172,7 +172,7 @@ func TestCelebAAttributesAlignedWithImages(t *testing.T) {
 func TestLoaderCoversAllExamplesOnce(t *testing.T) {
 	d := CIFAR10Like(ScaleTest)
 	l := NewLoader(d, d.Train, 32, Augment{})
-	batches := l.Batches(rng.New(1), rng.New(1))
+	batches := materialize(l, rng.New(1), rng.New(1))
 	seen := map[int]int{}
 	total := 0
 	for _, b := range batches {
@@ -194,9 +194,9 @@ func TestLoaderCoversAllExamplesOnce(t *testing.T) {
 func TestLoaderShuffleDependsOnStream(t *testing.T) {
 	d := CIFAR10Like(ScaleTest)
 	l := NewLoader(d, d.Train, 64, Augment{})
-	a := l.Batches(rng.New(1), rng.New(1))[0].Indices
-	b := l.Batches(rng.New(1), rng.New(1))[0].Indices
-	c := l.Batches(rng.New(2), rng.New(2))[0].Indices
+	a := materialize(l, rng.New(1), rng.New(1))[0].Indices
+	b := materialize(l, rng.New(1), rng.New(1))[0].Indices
+	c := materialize(l, rng.New(2), rng.New(2))[0].Indices
 	sameAB, sameAC := true, true
 	for i := range a {
 		if a[i] != b[i] {
@@ -217,7 +217,7 @@ func TestLoaderShuffleDependsOnStream(t *testing.T) {
 func TestLoaderNilStreamIsIdentityOrder(t *testing.T) {
 	d := CIFAR10Like(ScaleTest)
 	l := NewLoader(d, d.Test, 32, Augment{Shift: 1, Flip: true})
-	batches := l.Batches(nil, nil)
+	batches := materialize(l, nil, nil)
 	idx := 0
 	for _, b := range batches {
 		for bi, src := range b.Indices {
@@ -267,7 +267,7 @@ func TestAugmentFlipIsInvolution(t *testing.T) {
 func TestAugmentShiftKeepsShape(t *testing.T) {
 	d := CIFAR10Like(ScaleTest)
 	l := NewLoader(d, d.Train, 16, Augment{Shift: 2, Flip: true})
-	batches := l.Batches(rng.New(9), rng.New(9))
+	batches := materialize(l, rng.New(9), rng.New(9))
 	for _, b := range batches {
 		if b.X.Dim(1) != 3 || b.X.Dim(2) != 8 || b.X.Dim(3) != 8 {
 			t.Fatalf("augmented batch shape %v", b.X.Shape())

@@ -23,8 +23,8 @@ func (a Augment) Enabled() bool { return a.Shift > 0 || a.Flip }
 // Batch is one training or evaluation batch. Batches yielded by a
 // streaming Epoch are views into loader-owned double buffers: the tensor,
 // label and index slices are valid only until the next call to Next (or
-// Close), and callers must not mutate or retain them. The materializing
-// Batches form returns independently owned copies.
+// Close), and callers must not mutate or retain them; a caller that keeps
+// a batch copies it.
 type Batch struct {
 	X       *tensor.Tensor // (B, C, H, W)
 	Labels  []int
@@ -136,25 +136,6 @@ func (l *Loader) Epoch(shuffleStream, augStream *rng.Stream) *Epoch {
 		go ep.assembler()
 	}
 	return ep
-}
-
-// Batches is the materializing form of Epoch: the full pass as
-// independently owned batches, byte-identical to the streaming iterator
-// (it is a thin wrapper that copies each streamed batch out of the shared
-// buffers). Tests and offline tooling use this; the training loop streams.
-func (l *Loader) Batches(shuffleStream, augStream *rng.Stream) []Batch {
-	ep := l.Epoch(shuffleStream, augStream)
-	defer ep.Close()
-	var out []Batch
-	var b Batch
-	for ep.Next(&b) {
-		out = append(out, Batch{
-			X:       b.X.Clone(),
-			Labels:  append([]int(nil), b.Labels...),
-			Indices: append([]int(nil), b.Indices...),
-		})
-	}
-	return out
 }
 
 // assemble fills buf with examples order[start:end], drawing augmentation

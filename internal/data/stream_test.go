@@ -63,7 +63,7 @@ func TestEpochStreamingMatchesMaterialized(t *testing.T) {
 	for _, batch := range []int{32, 7, 240} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			ref := NewLoader(d, d.Train, batch, Augment{Shift: 1, Flip: true})
-			want := ref.Batches(rng.New(seed), rng.New(seed+100))
+			want := materialize(ref, rng.New(seed), rng.New(seed+100))
 
 			sync := NewLoader(d, d.Train, batch, Augment{Shift: 1, Flip: true})
 			sync.SetPrefetch(false)
@@ -98,7 +98,7 @@ func TestEpochClose(t *testing.T) {
 	for _, prefetch := range []bool{false, true} {
 		l := NewLoader(d, d.Train, 32, Augment{Shift: 1, Flip: true})
 		l.SetPrefetch(prefetch)
-		want := l.Batches(rng.New(1), rng.New(2))
+		want := materialize(l, rng.New(1), rng.New(2))
 
 		ep := l.Epoch(rng.New(9), rng.New(9))
 		var b Batch
@@ -141,4 +141,22 @@ func TestEpochEvalOrder(t *testing.T) {
 	if pos != d.Test.N() {
 		t.Fatalf("eval epoch yielded %d examples, want %d", pos, d.Test.N())
 	}
+}
+
+// materialize is the materializing form of Epoch: the full pass as
+// independently owned batches, each copied out of the loader's shared
+// buffers.
+func materialize(l *Loader, shuffleStream, augStream *rng.Stream) []Batch {
+	ep := l.Epoch(shuffleStream, augStream)
+	defer ep.Close()
+	var out []Batch
+	var b Batch
+	for ep.Next(&b) {
+		out = append(out, Batch{
+			X:       b.X.Clone(),
+			Labels:  append([]int(nil), b.Labels...),
+			Indices: append([]int(nil), b.Indices...),
+		})
+	}
+	return out
 }

@@ -93,10 +93,11 @@ func resNet18ConvGeoms() []tensor.ConvGeom {
 	}
 }
 
-// BenchmarkConvKernelsResNet18 times the three conv kernels — forward
-// GEMM, backward-weights GEMM and col2im — over every ResNet-18 conv
-// geometry (one op = one call per geometry), in both modes, with a
-// workspace attached as in training: warm calls allocate nothing.
+// BenchmarkConvKernelsResNet18 times the conv kernels — forward GEMM,
+// backward-weights GEMM, col2im alone and the fused backward-data kernel
+// (GEMM and col2im) — over every ResNet-18 conv geometry (one op = one
+// call per geometry), in both modes, with a workspace attached as in
+// training: warm calls allocate nothing.
 func BenchmarkConvKernelsResNet18(b *testing.B) {
 	type convCase struct {
 		g           tensor.ConvGeom
@@ -126,6 +127,7 @@ func BenchmarkConvKernelsResNet18(b *testing.B) {
 		{"fwd", func(dev *Device, cc *convCase) { dev.MatMulIm2Col(cc.w, cc.x, cc.g) }},
 		{"bwd-weights", func(dev *Device, cc *convCase) { dev.MatMulIm2ColT(cc.dy, cc.x, cc.g) }},
 		{"col2im", func(dev *Device, cc *convCase) { dev.Col2Im(cc.c, cc.g, cc.dst) }},
+		{"bwd-data", func(dev *Device, cc *convCase) { dev.MatMulCol2Im(cc.w, cc.dy, cc.g, cc.dst) }},
 	}
 	for _, k := range kernels {
 		for _, mode := range []Mode{Default, Deterministic} {

@@ -28,7 +28,11 @@ func (m Mode) String() string {
 
 // Device executes tensor kernels under a simulated accelerator. It is not
 // safe for concurrent use: training replicas each own a Device, and every
-// kernel runs serially on its caller's goroutine.
+// kernel runs serially on its caller's goroutine. The one exception is a
+// prepared backward-weights GEMM (PrepareMatMulIm2ColT), whose Run may go
+// to another goroutine while the caller runs the device's next kernels:
+// the device made its draws and allocation up front, and it has its own
+// plan, k sequence and scratch.
 type Device struct {
 	cfg     Config
 	mode    Mode
@@ -54,10 +58,15 @@ type Device struct {
 	rowSrc rowPanel
 	colSrc colPanel
 
-	// plan is the padded-input im2col plan every conv kernel lowers
-	// through. It keeps its offset tables across kernels and draws padded
-	// copies from the scratch pool, so warm conv kernels allocate nothing.
+	// plan is the padded-input im2col plan the conv kernels that run on
+	// the caller lower through. It keeps its offset tables across kernels
+	// and draws padded copies from the scratch pool, so warm conv kernels
+	// allocate nothing.
 	plan tensor.Im2ColPlan
+
+	// wgrad is the one prepared backward-weights GEMM, with a plan and a
+	// k sequence of its own so that it may run beside the kernels above.
+	wgrad Im2ColTGEMM
 }
 
 // New returns a device for the given part. entropy is the hardware-entropy
@@ -200,8 +209,36 @@ func (d *Device) MatMulIm2Col(w, x *tensor.Tensor, g tensor.ConvGeom) *tensor.Te
 // convolution GEMM dW = dy × colᵀ — with the transposed column matrix
 // gathered panel by panel from the padded input
 // (tensor.Im2ColPlan.PanelT); neither col nor colᵀ is ever materialized.
-// One kernel launch, bit-identical to the materialized equivalent.
+// One kernel launch, bit-identical to the materialized equivalent. It is
+// PrepareMatMulIm2ColT run at once on the caller's goroutine.
 func (d *Device) MatMulIm2ColT(a, x *tensor.Tensor, g tensor.ConvGeom) *tensor.Tensor {
+	job := d.PrepareMatMulIm2ColT(a, x, g)
+	job.Run()
+	return job.out
+}
+
+// Im2ColTGEMM is a backward-weights GEMM (MatMulIm2ColT) whose every
+// draw and allocation has been made on its device's goroutine, so that
+// Run computes a pure function of its operands and may run on any
+// goroutine, beside the device's next kernels. It has its own im2col plan,
+// commit-ordered k sequence and scratch pool.
+type Im2ColTGEMM struct {
+	a, x    *tensor.Tensor
+	g       tensor.ConvGeom
+	out     *tensor.Tensor
+	fp16    bool
+	kseq    []int
+	plan    tensor.Im2ColPlan
+	scratch tensor.Scratch
+}
+
+// PrepareMatMulIm2ColT counts the launch of MatMulIm2ColT(a, x, g),
+// draws its commit order and takes its output from the workspace, on the
+// caller's goroutine, and returns the device's one prepared job. Run it
+// exactly once, before this device's next PrepareMatMulIm2ColT or
+// MatMulIm2ColT; until Run returns, a and x must not change and Out must
+// not be read.
+func (d *Device) PrepareMatMulIm2ColT(a, x *tensor.Tensor, g tensor.ConvGeom) *Im2ColTGEMM {
 	d.kernels++
 	if a.Rank() != 2 || a.Dim(1) != g.ColCols() {
 		panic(fmt.Sprintf("device: MatMulIm2ColT operand must be (m, %d), got %v", g.ColCols(), a.Shape()))
@@ -209,10 +246,71 @@ func (d *Device) MatMulIm2ColT(a, x *tensor.Tensor, g tensor.ConvGeom) *tensor.T
 	if !isImage(x, g) {
 		panic(fmt.Sprintf("device: MatMulIm2ColT input must be (%d, %d, %d, %d), got %v", g.Batch, g.InC, g.InH, g.InW, x.Shape()))
 	}
-	d.plan.Load(x, g)
-	out := d.runGEMM(a.Data(), im2colTPanel{&d.plan}, a.Dim(0), g.ColCols(), g.ColRows())
-	d.plan.Release()
-	return out
+	j := &d.wgrad
+	j.a, j.x, j.g = a, x, g
+	j.out = d.Alloc(a.Dim(0), g.ColRows())
+	j.fp16 = d.cfg.TensorCores
+	j.kseq = d.kseqFor(j.kseq, g.ColCols())
+	return j
+}
+
+// Run computes the prepared GEMM into Out.
+func (j *Im2ColTGEMM) Run() {
+	j.plan.SetScratch(&j.scratch)
+	j.plan.Load(j.x, j.g)
+	od := j.out.Data()
+	clear(od)
+	m, k, n := j.a.Dim(0), j.g.ColCols(), j.g.ColRows()
+	gemmBlocked(&gemmArgs{ad: j.a.Data(), src: im2colTPanel{&j.plan}, od: od, m: m, k: k, n: n, kseq: j.kseq, fp16: j.fp16, scratch: &j.scratch})
+	j.plan.Release()
+}
+
+// Out returns the GEMM's output, (m, ColRows); valid once Run returned.
+func (j *Im2ColTGEMM) Out() *tensor.Tensor { return j.out }
+
+// MatMulCol2Im computes dx = col2im(wᵀ × dy, g) — the backward-data
+// convolution, cuDNN's atomicAdd kernel — without materializing the
+// (ColRows, ColCols) column gradient. The GEMM runs over image-aligned
+// column tiles; each finished tile is scattered straight into those
+// images of dx in the drawn row order (tensor.Im2ColPlan.Col2ImTile), so
+// dx is overwritten, never read. One kernel launch, bit-identical to
+// MatMul(w, dy, true, false) followed by Col2Im into a zeroed dx: an
+// output element's partials depend only on its operands and the commit
+// order, not on the tile that holds it, and image n's columns reach only
+// image n's pixels. It draws the GEMM's chunk order, then the scatter's
+// row order.
+func (d *Device) MatMulCol2Im(w, dy *tensor.Tensor, g tensor.ConvGeom, dx *tensor.Tensor) {
+	d.kernels++
+	if w.Rank() != 2 || w.Dim(0) != g.OutC || w.Dim(1) != g.ColRows() {
+		panic(fmt.Sprintf("device: MatMulCol2Im weight must be (%d, %d), got %v", g.OutC, g.ColRows(), w.Shape()))
+	}
+	if dy.Rank() != 2 || dy.Dim(0) != g.OutC || dy.Dim(1) != g.ColCols() {
+		panic(fmt.Sprintf("device: MatMulCol2Im gradient must be (%d, %d), got %v", g.OutC, g.ColCols(), dy.Shape()))
+	}
+	if !isImage(dx, g) {
+		panic(fmt.Sprintf("device: MatMulCol2Im destination must be (%d, %d, %d, %d), got %v", g.Batch, g.InC, g.InH, g.InW, dx.Shape()))
+	}
+	m, k := g.ColRows(), g.OutC
+	d.kseq = d.kseqFor(d.kseq, k)
+	rowOrder := d.schedOrder(m)
+	ad, scr := materializeA(w, true)
+	defer tensor.PutScratch(scr)
+	// A tile holds whole images, as many as fit in one packed panel (at
+	// least one; the GEMM sweeps a wider image in panels).
+	hw := g.OutH() * g.OutW()
+	per := max(1, panelNC/hw)
+	tile := tensor.GetScratch(m * min(per, g.Batch) * hw)
+	defer tensor.PutScratch(tile)
+	ld := g.ColCols()
+	for n0 := 0; n0 < g.Batch; n0 += per {
+		n1 := min(n0+per, g.Batch)
+		j0, cols := n0*hw, (n1-n0)*hw
+		c := tile[:m*cols]
+		clear(c)
+		d.rowSrc = rowPanel{data: dy.Data()[j0:], ld: ld}
+		gemmBlocked(&gemmArgs{ad: ad, src: &d.rowSrc, od: c, m: m, k: k, n: cols, kseq: d.kseq, fp16: d.cfg.TensorCores})
+		d.plan.Col2ImTile(c, g, dx, n0, n1, rowOrder)
+	}
 }
 
 // isImage reports whether x is the (Batch, InC, InH, InW) image g
@@ -227,16 +325,22 @@ func isImage(x *tensor.Tensor, g tensor.ConvGeom) bool {
 // reference kernel.
 func (d *Device) runGEMM(ad []float32, src panelSource, m, k, n int) *tensor.Tensor {
 	out := d.AllocZero(m, n)
-	fp16 := d.cfg.TensorCores
+	d.kseq = d.kseqFor(d.kseq, k)
+	gemmBlocked(&gemmArgs{ad: ad, src: src, od: out.Data(), m: m, k: k, n: n, kseq: d.kseq, fp16: d.cfg.TensorCores})
+	return out
+}
+
+// kseqFor draws the chunk order of a GEMM with inner dimension k (none on
+// Tensor-Core parts or when the device is deterministic) and writes its
+// commit-ordered k sequence into dst (grown as needed).
+func (d *Device) kseqFor(dst []int, k int) []int {
 	chunks := 1
 	var order []int
-	if !fp16 && d.nondeterministic() {
+	if !d.cfg.TensorCores && d.nondeterministic() {
 		chunks = d.cfg.reorderChunks(k)
 		order = d.schedOrder(chunks)
 	}
-	d.kseq = commitOrder(d.kseq, k, chunks, order)
-	gemmBlocked(&gemmArgs{ad: ad, src: src, od: out.Data(), m: m, k: k, n: n, kseq: d.kseq, fp16: fp16})
-	return out
+	return commitOrder(dst, k, chunks, order)
 }
 
 func matDims(t *tensor.Tensor, trans bool) (rows, cols int) {
@@ -375,12 +479,12 @@ func reduceChunkedOrder(xs []float32, chunks int, order []int) float32 {
 }
 
 // Col2Im scatters a column matrix back into an image tensor, accumulating
-// overlapping windows — the simulated analogue of cuDNN's atomicAdd-based
-// backward-data kernels. The scatter adds onto dst's current contents
-// (callers that want the plain col2im zero it first). In Default mode the
-// per-kernel-offset scatter order is drawn from the scheduler; overlapping
-// float32 adds then round differently between runs. The scatter goes
-// through the device's im2col plan into a padded accumulator.
+// overlapping windows from +0 — the simulated analogue of cuDNN's
+// atomicAdd-based backward-data kernels. dst is overwritten. In Default
+// mode the per-kernel-offset scatter order is drawn from the scheduler;
+// overlapping float32 adds then round differently between runs. The
+// scatter goes through the device's im2col plan (one Col2ImTile over the
+// whole batch). Training fuses it into the GEMM instead (MatMulCol2Im).
 func (d *Device) Col2Im(col *tensor.Tensor, g tensor.ConvGeom, dst *tensor.Tensor) {
 	d.kernels++
 	if col.Rank() != 2 || col.Dim(0) != g.ColRows() || col.Dim(1) != g.ColCols() {

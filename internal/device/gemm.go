@@ -100,8 +100,9 @@ type gemmArgs struct {
 	src     panelSource // op(B), k×n, served panel by panel
 	od      []float32   // C, m×n, zeroed
 	m, k, n int
-	kseq    []int // commit-ordered k indices: a permutation of [0,k)
-	fp16    bool  // Tensor-Core path: round A scalars and B panels to fp16
+	kseq    []int           // commit-ordered k indices: a permutation of [0,k)
+	fp16    bool            // Tensor-Core path: round A scalars and B panels to fp16
+	scratch *tensor.Scratch // pack buffers' pool; nil = shared
 }
 
 // commitOrder writes the commit-ordered k sequence of a split-K GEMM into
@@ -134,10 +135,10 @@ func commitOrder(dst []int, k, chunks int, order []int) []int {
 // the whole K block.
 func gemmBlocked(g *gemmArgs) {
 	kcMax := min(g.k, panelKC)
-	panel := tensor.GetScratch(kcMax * min(g.n, panelNC))
-	stripBuf := tensor.GetScratch(16*kcMax + 3)
-	defer tensor.PutScratch(panel)
-	defer tensor.PutScratch(stripBuf)
+	panel := g.scratch.Get(kcMax * min(g.n, panelNC))
+	stripBuf := g.scratch.Get(16*kcMax + 3)
+	defer g.scratch.Put(panel)
+	defer g.scratch.Put(stripBuf)
 	strip := align16(stripBuf)
 	// The axpy sweep's kept panel rows, as bytes to keep the frame small:
 	// a larger one doubled the stack of SmallCNN's training goroutines.

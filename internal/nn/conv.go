@@ -5,17 +5,21 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
 // Conv2D is a 2-D convolution in NCHW layout, lowered to GEMM via im2col —
 // the same lowering cuDNN's implicit-GEMM algorithms use. The weight is
-// stored as (OutC, InC*KH*KW); bias is per output channel. The column
-// matrix is never materialized: forward and backward-weights GEMMs gather
-// im2col panels from a zero-padded copy of the input straight into the
-// device's pack scratch (device.MatMulIm2Col / MatMulIm2ColT), which is
-// safe because no layer mutates a produced activation, so the retained
-// input x still holds the forward values at backward time.
+// stored as (OutC, InC*KH*KW); bias is per output channel. Neither the
+// column matrix nor its gradient is ever materialized: forward and
+// backward-weights GEMMs gather im2col panels from a zero-padded copy of
+// the input straight into pack scratch (device.MatMulIm2Col /
+// MatMulIm2ColT), which is safe because no layer mutates a produced
+// activation, so the retained input x still holds the forward values at
+// backward time; the backward-data GEMM scatters each finished column
+// tile straight into dx (device.MatMulCol2Im). The backward-weights GEMM
+// may run on a sched pool helper, joined inside Backward.
 type Conv2D struct {
 	name                string
 	inC, outC           int
@@ -29,11 +33,13 @@ type Conv2D struct {
 	// output and must stay layer-owned: the returned gradient aliases it
 	// until the caller consumes it. dbBuf holds the bias-gradient
 	// reduction. dxHdr and dyHdr are reused tensor headers for the
-	// backward-data output and the gradient's GEMM-layout view.
+	// backward-data output and the gradient's GEMM-layout view. dw hands
+	// the weight-gradient GEMM to a pool helper.
 	dxBuf []float32
 	dbBuf []float32
 	dxHdr tensor.Tensor
 	dyHdr tensor.Tensor
+	dw    sched.Handoff
 }
 
 // NewConv2D builds a convolution layer. kernel is the (square) filter size.
@@ -90,35 +96,41 @@ func (c *Conv2D) Forward(dev *device.Device, x *tensor.Tensor, train bool) *tens
 	return matToNCHW(dev, yMat, g)
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The weight gradient dW = dy × colᵀ runs on
+// a pool helper when the sched worker budget has a token free, beside the
+// bias reduction and the fused backward-data kernel dx = col2im(Wᵀ × dy),
+// and is joined before Backward returns. Every entropy draw is made here,
+// in the serial order: dW's chunk order, one order per bias row, dx's
+// chunk order, the scatter's row order.
 func (c *Conv2D) Backward(dev *device.Device, dy *tensor.Tensor) *tensor.Tensor {
 	if !c.haveForward {
 		panic(fmt.Sprintf("nn: Conv2D %s Backward before Forward", c.name))
 	}
 	g := c.lastGeom
+	// dyMat is read by both GEMMs, so its scratch lives until the join.
 	dyScr := tensor.GetScratch(g.OutC * g.ColCols())
+	defer tensor.PutScratch(dyScr)
 	dyMat := nchwToMat(dy, g, dyScr, &c.dyHdr) // (OutC, N*OH*OW)
 
-	// dW = dyMat × im2col(x)^T (fused, colᵀ never materialized);
-	// dB = row sums of dyMat.
-	dW := dev.MatMulIm2ColT(dyMat, c.lastX, g)
-	c.W.Grad.Add(dW)
+	dW := dev.PrepareMatMulIm2ColT(dyMat, c.lastX, g)
+	c.dw.Go(dW)
+	defer c.dw.Join() // only if a kernel below panics
+
 	c.dbBuf = dev.SumRowsInto(dyMat, c.dbBuf)
 	bg := c.B.Grad.Data()
 	for i, v := range c.dbBuf {
 		bg[i] += v
 	}
 
-	// dcol = W^T × dyMat, then scatter back to image space (atomicAdd sim).
-	dcol := dev.MatMul(c.W.Value, dyMat, true, false)
-	tensor.PutScratch(dyScr)
 	n := g.Batch * g.InC * g.InH * g.InW
 	if cap(c.dxBuf) < n {
 		c.dxBuf = make([]float32, n)
 	}
 	dx := tensor.FromSliceInto(&c.dxHdr, c.dxBuf[:n], g.Batch, g.InC, g.InH, g.InW)
-	dx.Zero() // Col2Im accumulates; the scratch holds last step's values
-	dev.Col2Im(dcol, g, dx)
+	dev.MatMulCol2Im(c.W.Value, dyMat, g, dx)
+
+	c.dw.Join()
+	c.W.Grad.Add(dW.Out())
 	c.lastX, c.haveForward = nil, false
 	return dx
 }

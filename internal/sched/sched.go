@@ -15,6 +15,10 @@
 // participates in the work and never blocks waiting for a token, so even
 // with zero spare workers every ForEach makes progress. Helper goroutines
 // are bounded globally by the worker budget, not per call site.
+//
+// The same budget backs Handoff, which runs one task beside its caller
+// (a conv layer's weight-gradient GEMM) on a helper when a token is free
+// and inline when none is, so a lone replica can use a spare core.
 package sched
 
 import (
@@ -75,9 +79,9 @@ func acquireBudget() chan struct{} {
 	return tokens
 }
 
-// PanicError wraps a panic captured from a pooled worker so the caller
-// goroutine can re-panic with context instead of crashing the process from
-// an anonymous goroutine.
+// PanicError wraps a panic captured from a pooled worker or a handoff
+// helper so the caller goroutine can re-panic with context instead of
+// crashing the process from an anonymous goroutine.
 type PanicError struct {
 	Index int    // work item that panicked
 	Value any    // original panic value
@@ -115,11 +119,10 @@ func ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	runOne := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				buf := make([]byte, 16<<10)
-				buf = buf[:runtime.Stack(buf, false)]
+				p := capturePanic(i, r)
 				state.Lock()
 				if state.panic == nil {
-					state.panic = &PanicError{Index: i, Value: r, Stack: string(buf)}
+					state.panic = p
 				}
 				state.Unlock()
 			}

@@ -89,14 +89,15 @@ func Im2Col(in *Tensor, g ConvGeom, dst *Tensor) {
 // oh·S·Wp + ow·S for output position j = (n, oh, ow), and rowOff[r] =
 // c·Hp·Wp + kh·Wp + kw for kernel position r = (c, kh, kw). The gathers
 // and the col2im scatter then need no per-element padding test. With
-// Pad == 0 the padded image is the input itself and nothing is copied.
+// Pad == 0 the padded image is the input itself and nothing is copied;
+// the scatter then adds straight into the destination.
 //
 // A plan keeps its offset tables across calls, rebuilding them only when
-// the geometry changes; padded copies are kernel-lifetime buffers from the
-// scratch pool, so replicas training side by side share them. A warm plan
-// allocates nothing. It is not safe for concurrent mutation, but Panel and
-// PanelT only read the loaded state and may run from many goroutines at
-// once.
+// the geometry changes; padded copies and col2im accumulators are
+// kernel-lifetime buffers from the scratch pool, so replicas training side
+// by side share them. A warm plan allocates nothing. A plan serves one
+// goroutine at a time: a kernel that runs beside another (the
+// backward-weights GEMM on a pool helper) brings a plan of its own.
 type Im2ColPlan struct {
 	g      ConvGeom
 	hp, wp int       // padded spatial size
@@ -104,7 +105,12 @@ type Im2ColPlan struct {
 	src    []float32 // the padded image the gathers read
 	colOff []int     // per output position j
 	rowOff []int     // per kernel position r
+	pool   *Scratch  // where padded copies come from; nil = shared
 }
+
+// SetScratch makes the plan draw its padded copies from sc (nil = the
+// shared pool).
+func (p *Im2ColPlan) SetScratch(sc *Scratch) { p.pool = sc }
 
 // setGeom rebuilds the offset tables for g; a no-op when g is unchanged.
 func (p *Im2ColPlan) setGeom(g ConvGeom) {
@@ -138,10 +144,10 @@ func (p *Im2ColPlan) setGeom(g ConvGeom) {
 }
 
 // pad copies an N×C×H×W image into pooled scratch with a zero border of
-// width Pad and returns the copy; the caller returns it with PutScratch.
+// width Pad and returns the copy; Release returns it to the pool.
 func (p *Im2ColPlan) pad(img []float32) []float32 {
 	g := p.g
-	buf := GetScratch(g.Batch * g.InC * p.hp * p.wp)
+	buf := p.pool.Get(g.Batch * g.InC * p.hp * p.wp)
 	clear(buf)
 	for plane := 0; plane < g.Batch*g.InC; plane++ {
 		for h := 0; h < g.InH; h++ {
@@ -152,12 +158,15 @@ func (p *Im2ColPlan) pad(img []float32) []float32 {
 	return buf
 }
 
-// unpad copies the interior of a padded image back into an N×C×H×W image.
-func (p *Im2ColPlan) unpad(buf, img []float32) {
+// unpad copies the interior of the padded images in buf into images
+// [n0, n0+len(buf)/(C·Hp·Wp)) of the N×C×H×W image img.
+func (p *Im2ColPlan) unpad(buf, img []float32, n0 int) {
 	g := p.g
-	for plane := 0; plane < g.Batch*g.InC; plane++ {
+	planes := len(buf) / (p.hp * p.wp)
+	for pl := 0; pl < planes; pl++ {
+		plane := n0*g.InC + pl
 		for h := 0; h < g.InH; h++ {
-			src := buf[(plane*p.hp+h+g.Pad)*p.wp+g.Pad:]
+			src := buf[(pl*p.hp+h+g.Pad)*p.wp+g.Pad:]
 			copy(img[(plane*g.InH+h)*g.InW:(plane*g.InH+h+1)*g.InW], src)
 		}
 	}
@@ -177,7 +186,7 @@ func (p *Im2ColPlan) Load(in *Tensor, g ConvGeom) {
 // Release returns the loaded input's padded copy to the scratch pool.
 // The plan gathers nothing until the next Load.
 func (p *Im2ColPlan) Release() {
-	PutScratch(p.buf)
+	p.pool.Put(p.buf)
 	p.buf, p.src = nil, nil
 }
 
@@ -215,21 +224,37 @@ func (p *Im2ColPlan) PanelT(jLo, jHi, rLo, rHi int, dst []float32) {
 	}
 }
 
-// Col2Im scatters a (C*KH*KW, N*OutH*OutW) column matrix into the image
-// tensor dst (N, C, H, W), adding onto dst's current contents. Rows are
-// committed in rowOrder (nil = ascending); the device draws that order to
-// simulate atomicAdd scheduling. Within one row every output position
-// lands on a distinct pixel, so each pixel receives its adds exactly in
-// row order, starting from its dst value. Adds that fall in the padding
-// border land in a padded accumulator's border and are discarded.
+// Col2Im writes the col2im of a (C*KH*KW, N*OutH*OutW) column matrix
+// into the image tensor dst (N, C, H, W), overwriting it: the whole batch
+// as one Col2ImTile.
 func (p *Im2ColPlan) Col2Im(col *Tensor, g ConvGeom, dst *Tensor, rowOrder []int) {
+	p.Col2ImTile(col.Data(), g, dst, 0, g.Batch, rowOrder)
+}
+
+// Col2ImTile writes the col2im of one image-aligned column tile into
+// images [n0, n1) of dst (N, C, H, W), overwriting them. The tile holds
+// the column matrix's columns of those images only: C*KH*KW rows of
+// (n1-n0)*OutH*OutW, row-major. Rows are committed in rowOrder (nil =
+// ascending); the device draws that order to simulate atomicAdd
+// scheduling. Every pixel starts from +0, and within one row every output
+// position lands on a distinct pixel, so each pixel receives its adds
+// exactly in row order. Image n's columns reach only image n's pixels, so
+// scattering a batch tile by tile gives every pixel the same adds in the
+// same order as scattering it whole. Adds that fall in the padding border
+// land in a padded accumulator's border and are discarded.
+func (p *Im2ColPlan) Col2ImTile(tile []float32, g ConvGeom, dst *Tensor, n0, n1 int, rowOrder []int) {
 	p.setGeom(g)
-	acc := dst.Data()
+	img := g.InC * p.hp * p.wp // one padded image
+	var acc []float32
 	if g.Pad > 0 {
-		acc = p.pad(acc)
+		acc = p.pool.Get((n1 - n0) * img)
+	} else {
+		acc = dst.Data()[n0*img : n1*img]
 	}
-	cd := col.Data()
-	colOff := p.colOff
+	clear(acc)
+	// The offsets of images [0, n1-n0) address images [n0, n1) of an
+	// accumulator that starts at image n0.
+	colOff := p.colOff[:(n1-n0)*g.OutH()*g.OutW()]
 	cols := len(colOff)
 	for ri := range p.rowOff {
 		r := ri
@@ -237,14 +262,14 @@ func (p *Im2ColPlan) Col2Im(col *Tensor, g ConvGeom, dst *Tensor, rowOrder []int
 			r = rowOrder[ri]
 		}
 		a := acc[p.rowOff[r]:]
-		crow := cd[r*cols : r*cols+cols][:len(colOff)]
+		crow := tile[r*cols : r*cols+cols][:len(colOff)]
 		for j, off := range colOff {
 			a[off] += crow[j]
 		}
 	}
 	if g.Pad > 0 {
-		p.unpad(acc, dst.Data())
-		PutScratch(acc)
+		p.unpad(acc, dst.Data(), n0)
+		p.pool.Put(acc)
 	}
 }
 

@@ -237,9 +237,11 @@ func TestIm2ColPanelTMatchesFull(t *testing.T) {
 }
 
 // TestIm2ColPlanCol2ImMatchesOracle pins the padded-accumulator scatter
-// against the per-element oracle bit for bit: random scheduler row orders
-// on non-exact data, a non-zero initial dst (Col2Im accumulates), and
-// signed zeros, NaN, ±Inf and a subnormal in both the image and col.
+// against the per-element oracle run into a zeroed image, bit for bit:
+// random scheduler row orders on non-exact data, a destination pre-filled
+// with NaN (Col2Im overwrites it), and signed zeros, NaN, ±Inf and a
+// subnormal in col. It runs the scatter whole (Col2Im) and in
+// image-aligned tiles of every width (Col2ImTile), which must agree.
 func TestIm2ColPlanCol2ImMatchesOracle(t *testing.T) {
 	var p Im2ColPlan
 	for gi, g := range panelGeoms() {
@@ -247,20 +249,38 @@ func TestIm2ColPlanCol2ImMatchesOracle(t *testing.T) {
 		col := New(g.ColRows(), g.ColCols())
 		s.FillNorm(col.Data(), 0, 1)
 		sprinkleSpecials(col.Data(), s)
-		init := randImage(g, uint64(170+gi))
+		hw := g.OutH() * g.OutW()
 		for trial := 0; trial < 4; trial++ {
 			var order []int
 			if trial > 0 {
 				order = s.Perm(g.ColRows())
 			}
-			got, want := init.Clone(), init.Clone()
-			p.Col2Im(col, g, got, order)
+			want := New(g.Batch, g.InC, g.InH, g.InW)
 			refCol2ImAccum(col, g, want, order)
-			gd, wd := got.Data(), want.Data()
-			for i := range gd {
-				if !sameBits(gd[i], wd[i]) {
-					t.Fatalf("geom %d trial %d: dst[%d] = %v, oracle %v", gi, trial, i, gd[i], wd[i])
+			check := func(what string, got *Tensor) {
+				t.Helper()
+				gd, wd := got.Data(), want.Data()
+				for i := range gd {
+					if !sameBits(gd[i], wd[i]) {
+						t.Fatalf("geom %d trial %d %s: dst[%d] = %v, oracle %v", gi, trial, what, i, gd[i], wd[i])
+					}
 				}
+			}
+			got := New(g.Batch, g.InC, g.InH, g.InW)
+			got.Fill(float32(math.NaN()))
+			p.Col2Im(col, g, got, order)
+			check("whole", got)
+			for per := 1; per < g.Batch; per++ {
+				got.Fill(float32(math.NaN()))
+				for n0 := 0; n0 < g.Batch; n0 += per {
+					n1 := min(n0+per, g.Batch)
+					tile := make([]float32, g.ColRows()*(n1-n0)*hw)
+					for r := 0; r < g.ColRows(); r++ {
+						copy(tile[r*(n1-n0)*hw:(r+1)*(n1-n0)*hw], col.Data()[r*g.ColCols()+n0*hw:])
+					}
+					p.Col2ImTile(tile, g, got, n0, n1, order)
+				}
+				check("tiled", got)
 			}
 		}
 	}

@@ -27,9 +27,19 @@ import (
 // worst-case retention at sum(bucketCap · 2^i) over the buckets actually
 // touched by the process.
 
-// scratchBuckets covers sizes up to 2^31 floats; index i holds buffers
-// with capacity exactly 2^i.
-var scratchBuckets [32]scratchBucket
+// Scratch is one such pool; its buckets cover sizes up to 2^31 floats,
+// index i holding buffers with capacity exactly 2^i. The process shares
+// one, behind GetScratch and PutScratch, and a nil *Scratch means that
+// one. A kernel that runs beside others on a pool helper (the conv
+// backward-weights GEMM) draws from a private Scratch instead: which of
+// its buffers overlap the shared pool's in time depends on scheduling, so
+// sharing would let an unlucky interleaving miss the pool in a warm step.
+type Scratch struct {
+	buckets [32]scratchBucket
+}
+
+// shared is the process-wide pool.
+var shared Scratch
 
 // bucketCap bounds how many idle buffers one bucket retains. Steady-state
 // training needs only a few buffers per size class (pack panels, loader
@@ -53,12 +63,24 @@ func bucketFor(n int) int {
 // GetScratch returns a float32 buffer of length n from the shared pool,
 // allocating a fresh power-of-two-capacity buffer on a pool miss. Contents
 // are unspecified.
-func GetScratch(n int) []float32 {
+func GetScratch(n int) []float32 { return shared.Get(n) }
+
+// PutScratch returns a buffer obtained from GetScratch to the pool. Buffers
+// whose capacity is not an exact power of two (i.e. not pool-born) are
+// dropped rather than filed in a bucket they would under-serve; so are
+// buffers arriving at a bucket already holding bucketCap idle entries.
+func PutScratch(s []float32) { shared.Put(s) }
+
+// Get is GetScratch from this pool.
+func (sc *Scratch) Get(n int) []float32 {
+	if sc == nil {
+		sc = &shared
+	}
 	if n <= 0 {
 		return nil
 	}
 	idx := bucketFor(n)
-	b := &scratchBuckets[idx]
+	b := &sc.buckets[idx]
 	b.mu.Lock()
 	if last := len(b.free) - 1; last >= 0 {
 		s := b.free[last]
@@ -71,16 +93,16 @@ func GetScratch(n int) []float32 {
 	return make([]float32, n, 1<<idx)
 }
 
-// PutScratch returns a buffer obtained from GetScratch to the pool. Buffers
-// whose capacity is not an exact power of two (i.e. not pool-born) are
-// dropped rather than filed in a bucket they would under-serve; so are
-// buffers arriving at a bucket already holding bucketCap idle entries.
-func PutScratch(s []float32) {
+// Put is PutScratch into this pool.
+func (sc *Scratch) Put(s []float32) {
+	if sc == nil {
+		sc = &shared
+	}
 	c := cap(s)
 	if c == 0 || c&(c-1) != 0 {
 		return
 	}
-	b := &scratchBuckets[bucketFor(c)]
+	b := &sc.buckets[bucketFor(c)]
 	b.mu.Lock()
 	if len(b.free) < bucketCap {
 		b.free = append(b.free, s[:c])
